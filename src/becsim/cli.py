@@ -42,6 +42,18 @@ def _fraction_list(value) -> tuple:
     return tuple(_fraction(v) for v in value)
 
 
+def _integer(doc: dict, key: str, default: int) -> int:
+    """An integer config field; anything else is a config error."""
+    value = doc.get(key, default)
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ConfigError(f"{key} must be an integer, not {value!r}") from err
+    if isinstance(value, float) and value != number:
+        raise ConfigError(f"{key} must be an integer, not {value!r}")
+    return number
+
+
 def _load_config(path) -> dict:
     if path is None:
         return {}
@@ -94,10 +106,10 @@ def _arrivals_from_doc(doc: dict, n: int) -> ArrivalModel:
 
 
 def _sim_config(doc: dict) -> SimConfig:
-    n = int(doc.get("n_users", 2))
+    n = _integer(doc, "n_users", 2)
     config = SimConfig(
         n_users=n,
-        horizon=int(doc.get("horizon", 10_000)),
+        horizon=_integer(doc, "horizon", 10_000),
         erasure=_erasure_from_doc(doc, n),
         arrivals=_arrivals_from_doc(doc, n),
         restriction=doc.get("restriction", FULL),
@@ -106,11 +118,11 @@ def _sim_config(doc: dict) -> SimConfig:
         policy=doc.get("policy", "maxweight"),
         retransmit_mode=doc.get("retransmit_mode", "sticky"),
         flush_on_empty=bool(doc.get("flush_on_empty", True)),
-        audit_every=int(doc.get("audit_every", 1)),
-        deep_audit_every=int(doc.get("deep_audit_every", 1000)),
+        audit_every=_integer(doc, "audit_every", 1),
+        deep_audit_every=_integer(doc, "deep_audit_every", 1000),
         decode_monitor=bool(doc.get("decode_monitor", True)),
         overhead_monitor=bool(doc.get("overhead_monitor", True)),
-        decimate=int(doc.get("decimate", 1)),
+        decimate=_integer(doc, "decimate", 1),
     )
     config.validate()
     return config
@@ -257,14 +269,14 @@ def _cmd_probe(args) -> int:
         scales = scales.split(",")
     scales = tuple(float(s) for s in scales)
     doc.setdefault("horizon", 1)
-    doc.setdefault("lambda", ["0"] * int(doc.get("n_users", 2)))
+    doc.setdefault("lambda", ["0"] * _integer(doc, "n_users", 2))
     config = _sim_config(doc)
     reports = stability_probe(
         config,
         ray,
         scales,
-        seeds=int(doc.get("seeds", 5)),
-        window=int(doc.get("window", 100_000)),
+        seeds=_integer(doc, "seeds", 5),
+        window=_integer(doc, "window", 100_000),
         slope_threshold=float(doc.get("slope_threshold", 1e-3)),
         engine=doc.get("probe_engine", "counts"),
     )
@@ -317,12 +329,12 @@ def _cmd_regions(args) -> int:
             "boundary": "boundary",
         },
     )
-    n = int(doc.get("n_users", 4))
+    n = _integer(doc, "n_users", 4)
     if "iid_eps" in doc:
         eps_grid = [_fraction(doc["iid_eps"])]
     else:
         eps_grid = [_fraction(e) for e in doc.get("eps_grid", ("1/4", "1/2", "3/4"))]
-    count = int(doc.get("rays", 5))
+    count = _integer(doc, "rays", 5)
     boundary = _fraction(doc.get("boundary", "99/100"))
     check = bool(args.check_cert or doc.get("check_cert", False))
     if check and n != 4:
@@ -381,7 +393,7 @@ def _cmd_derive_table(args) -> int:
         args,
         {"n": "n_users", "iid_eps": "iid_eps", "restriction": "restriction"},
     )
-    n = int(doc.get("n_users", 2))
+    n = _integer(doc, "n_users", 2)
     eps = _fraction(doc.get("iid_eps", "1/2"))
     restriction = doc.get("restriction", FULL)
     model = ErasureModel.iid(n, eps)

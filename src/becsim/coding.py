@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 from typing import Iterable, Iterator
 
@@ -47,7 +48,7 @@ class ControlSpec:
     def nu(self) -> int:
         return len(self.pairs)
 
-    @property
+    @cached_property
     def sorted_pairs(self) -> tuple[QueueIndex, ...]:
         return tuple(sorted(self.pairs, key=QueueIndex.sort_key))
 

@@ -1,14 +1,20 @@
 """Slotted-time simulation binding channel, catalog, movement and policy.
 
-Two engines produce identical per-slot metrics from the same seed:
+One slot loop, ``run``, drives either of two queue backends; they produce
+identical per-slot metrics from the same seed:
 
 * ``object`` — full packet/token/basis state with every invariant monitor
-  available.  The reference engine.
+  available.  The reference engine: lengths, backlogs and packet sizes are
+  read from that state, never from the compiled tables.
 * ``counts`` — integer queue-occupancy vectors plus per-packet constituent
   counts.  Queue dynamics depend only on (control, reception set), which is
   precompiled into delta tables, so long stability runs stay cheap.  State
   audits and decode checks do not exist here; cross-engine equality is the
   check instead.
+
+Compiling a catalog runs the movement rules once per (control, reception
+set) to build the delta tables; the max-weight rows are folded from those
+tables and the reception pmf.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import factorial
 from typing import Optional
 
@@ -32,7 +38,6 @@ from .core import (
     audit_state,
 )
 from .movement import ReceptionOutcome, RpmCase, apply_rpm, synthesize_state
-from .scheduler import DELIVERED, derive_transitions
 
 
 @dataclass
@@ -129,9 +134,7 @@ class _CompiledControl:
 
 @dataclass
 class _Compiled:
-    n_users: int
     queues: tuple
-    qidx: dict
     weights: tuple  # |D| per queue
     levels: tuple
     roots: tuple  # queue id of Q^{}_{i} per user
@@ -140,7 +143,6 @@ class _Compiled:
 
 _SPACE_CACHE: dict = {}
 _DELTA_CACHE: dict = {}
-_TERMS_CACHE: dict = {}
 
 
 def _queue_space(n_users: int):
@@ -158,13 +160,9 @@ def _queue_space(n_users: int):
     return space
 
 
-def _model_key(model: ErasureModel):
-    if model.eps is not None:
-        return ("iid", tuple(str(e) for e in model.eps))
-    return ("joint", tuple((s.mask, str(p)) for s, p in model.pmf()))
-
-
 def _compile_deltas(n_users, catalog, cache_key):
+    """Run the movement rules once per (control, reception set) against a
+    canonical one-packet-per-queue state; the only enumeration of them."""
     if cache_key is not None and cache_key in _DELTA_CACHE:
         return _DELTA_CACHE[cache_key]
     _, qidx, _, _, _ = _queue_space(n_users)
@@ -207,26 +205,35 @@ def _compile_deltas(n_users, catalog, cache_key):
     return out
 
 
-def _compile_terms(n_users, catalog, model, cache_key):
-    key = None if cache_key is None else (cache_key, _model_key(model))
-    if key is not None and key in _TERMS_CACHE:
-        return _TERMS_CACHE[key]
-    _, qidx, _, _, _ = _queue_space(n_users)
-    out = []
-    for spec in catalog:
-        edges = derive_transitions(spec, model)
-        terms = []
-        for (qi, _i), targets in edges.items():
-            row = tuple(
-                (qidx[tgt[0]], p)
-                for tgt, p in targets.items()
-                if tgt != DELIVERED
-            )
-            terms.append((qidx[qi], row))
-        out.append(tuple(terms))
-    if key is not None:
-        _TERMS_CACHE[key] = out
-    return out
+def _fold_terms(queues, cc: _CompiledControl, pmf: list) -> tuple:
+    """Max-weight rows of one control, folded from its delta table.
+
+    Node (q, i) is the token of user i in the head of queue q.  A popped
+    head's token lands at (dst, i) when i is a destination of the queue the
+    head (or the composite it merged into) went to, and is delivered
+    otherwise; a token whose queue was not popped stays put.  Probabilities
+    are summed in the order of the reception pmf's entries, as
+    ``scheduler.derive_transitions`` does, so the rows equal its table with
+    deliveries dropped, also for floats.
+    """
+    nodes = [(q, i) for q in cc.queue_ids for i in queues[q].destinations]
+    buckets = [{} for _ in nodes]
+    for s, p in pmf:
+        delta = cc.deltas[s.mask]
+        went = dict(delta.moves)
+        for q in delta.merge_sources:
+            went[q] = delta.merge_target
+        for (q, i), bucket in zip(nodes, buckets):
+            target = q
+            if q in delta.pops:
+                dst = went.get(q)
+                delivered = dst is None or i not in queues[dst].destinations
+                target = None if delivered else dst
+            bucket[target] = bucket.get(target, 0) + p
+    return tuple(
+        (q, tuple((tgt, p) for tgt, p in bucket.items() if tgt is not None))
+        for (q, _i), bucket in zip(nodes, buckets)
+    )
 
 
 def compile_catalog(config: SimConfig) -> _Compiled:
@@ -252,14 +259,14 @@ def compile_catalog(config: SimConfig) -> _Compiled:
                 exit_level=max(qi.level for qi in spec.sorted_pairs),
             )
         )
-    compiled = _Compiled(n, queues, qidx, weights, levels, roots, controls)
-    if config.policy == "maxweight":
-        for cc, terms in zip(controls, _compile_terms(n, catalog, config.erasure, cache_key)):
-            cc.node_terms = terms
-    if config.engine == "counts":
+    if config.engine == "counts" or config.policy == "maxweight":
         for cc, deltas in zip(controls, _compile_deltas(n, catalog, cache_key)):
             cc.deltas = deltas
-    return compiled
+    if config.policy == "maxweight":
+        pmf = list(config.erasure.pmf())
+        for cc in controls:
+            cc.node_terms = _fold_terms(queues, cc, pmf)
+    return _Compiled(queues, weights, levels, roots, controls)
 
 
 def _select(compiled: _Compiled, lengths, nonzero_mask, policy, rng):
@@ -291,202 +298,165 @@ def _select(compiled: _Compiled, lengths, nonzero_mask, policy, rng):
 # --- engines -------------------------------------------------------------------
 
 
-def run(config: SimConfig, *, windows=()) -> RunResult:
-    """Simulate config.horizon slots; optional windows are (start, stop)
-    slot ranges whose mean backlog is folded on the fly."""
-    config.validate()
-    compiled = compile_catalog(config)
-    if config.engine == "object":
-        return _run_object(config, compiled, windows)
-    return _run_counts(config, compiled, windows)
-
-
 def _stored_cap(level: int) -> int:
     return 1 if level <= 1 else factorial(level - 1)
 
 
-def _window_folds(windows):
-    return [[int(lo), int(hi), 0] for lo, hi in windows]
+class _ObjectQueues:
+    """Reference backend: the full packet/token/basis state, audited.
 
+    Lengths, backlogs and packet sizes are read from the NetworkState, never
+    from the delta tables, so cross-engine equality checks those tables.
+    """
 
-def _fold_windows(folds, t, q_hat):
-    for f in folds:
-        if f[0] <= t < f[1]:
-            f[2] += q_hat
+    def __init__(self, config: SimConfig, compiled: _Compiled):
+        self.config = config
+        self.queues = compiled.queues
+        self.state = NetworkState(config.n_users)
 
-
-def _window_means(folds):
-    return tuple(f[2] / (f[1] - f[0]) for f in folds)
-
-
-def _run_object(config: SimConfig, compiled: _Compiled, windows) -> RunResult:
-    n = config.n_users
-    model = config.erasure
-    state = NetworkState(n)
-    chan = make_rng(config.seed, "chan")
-    arr = make_rng(config.seed, "arr")
-    pol = make_rng(config.seed, "policy")
-    queues = compiled.queues
-    real = state.real_queues
-
-    delivered = [0] * n
-    arrived = [0] * n
-    pending = None
-    transmitted_since_flush = False
-    trace = []
-    overhead_hist: dict = {}
-    max_stored: dict = {}
-    max_exit: dict = {}
-    flush_slots = idle_slots = 0
-    max_q = max_v = 0
-    folds = _window_folds(windows)
-
-    for t in range(config.horizon):
-        lengths = [len(real.get(qi, ())) for qi in queues]
+    def scan(self):
+        """Queue lengths in queue-id order and the mask of non-empty ids."""
+        real = self.state.real_queues
+        lengths = [len(real.get(qi, ())) for qi in self.queues]
         nonzero = 0
         for k, ln in enumerate(lengths):
             if ln:
                 nonzero |= 1 << k
-        sticky = pending is not None and config.retransmit_mode == "sticky"
-        cidx = pending if sticky else _select(
-            compiled, lengths, nonzero, config.policy, pol
-        )
-        flush = False
-        case = None
-        overhead = 0
-        if cidx is None:
-            if (
-                config.flush_on_empty
-                and transmitted_since_flush
-                and not real
-            ):
-                assert state.v_hat() == 0
-                for basis in state.bases:
-                    basis.clear()
-                flush = True
-                flush_slots += 1
-                transmitted_since_flush = False
-            else:
-                idle_slots += 1
-        else:
-            cc = compiled.controls[cidx]
-            composite: frozenset = frozenset()
-            for qi in cc.spec.sorted_pairs:
-                composite = composite ^ real[qi][0].constituents
-            overhead = len(composite)
-            if config.overhead_monitor and overhead > factorial(cc.exit_level):
-                raise MonitorViolation(
-                    [
-                        f"composite of {overhead} constituents exits level "
-                        f"{cc.exit_level}"
-                    ],
-                    slot=t,
-                )
-            s = sample_reception(model, chan)
-            deep = bool(
-                config.deep_audit_every and t % config.deep_audit_every == 0
-            )
-            plan = apply_rpm(
-                state, cc.spec, None, ReceptionOutcome(s), audit_entry=deep
-            )
-            case = plan.case.value
-            transmitted_since_flush = True
-            pending = cidx if plan.case is RpmCase.RETRANSMIT else None
+        return lengths, nonzero
+
+    def head_size(self, cc: _CompiledControl) -> int:
+        """Constituent count of the XOR of the control's head packets."""
+        real = self.state.real_queues
+        composite: frozenset = frozenset()
+        for qi in cc.spec.sorted_pairs:
+            composite = composite ^ real[qi][0].constituents
+        return len(composite)
+
+    def transmit(self, cc: _CompiledControl, s: UserSet, t: int):
+        """Move the heads for reception set s.  Returns the case label, the
+        retransmit flag, (user, count) deliveries and the (level, size) of
+        every packet stored this slot (sizes only when the overhead monitor
+        is on)."""
+        config = self.config
+        state = self.state
+        deep = bool(config.deep_audit_every and t % config.deep_audit_every == 0)
+        plan = apply_rpm(state, cc.spec, None, ReceptionOutcome(s), audit_entry=deep)
+        if config.decode_monitor:
             for user, native in plan.decoded:
-                delivered[user] += 1
-                if config.decode_monitor and (
-                    native.owner != user or native not in state.decoded[user]
-                ):
+                if native.owner != user or native not in state.decoded[user]:
                     raise MonitorViolation(
                         [f"user {user} failed to decode {native!r}"], slot=t
                     )
-            if config.overhead_monitor:
-                for pid, _frm, to in plan.real_moves:
-                    if to is None:
-                        continue
-                    packet = next(
-                        p for p in real.get(to, ()) if p.pid == pid
-                    )
-                    size = len(packet.constituents)
-                    if size > _stored_cap(to.level):
-                        raise MonitorViolation(
-                            [
-                                f"stored packet of {size} constituents at "
-                                f"level {to.level}"
-                            ],
-                            slot=t,
-                        )
-                    if size > max_stored.get(to.level, 0):
-                        max_stored[to.level] = size
-            overhead_hist[overhead] = overhead_hist.get(overhead, 0) + 1
-            if overhead > max_exit.get(cc.exit_level, 0):
-                max_exit[cc.exit_level] = overhead
-        if config.audit_every and t % config.audit_every == 0:
-            problems = audit_state(state)
-            if problems:
-                raise MonitorViolation(problems, slot=t)
-        if config.deep_audit_every and t % config.deep_audit_every == 0:
-            problems = audit_state(state, deep=True)
-            if problems:
-                raise MonitorViolation(problems, slot=t)
-        batch = sample_arrivals(config.arrivals, arr)
-        for user, count in enumerate(batch):
-            arrived[user] += count
-            for _ in range(count):
-                state.arrival(user)
-        q_hat = state.q_hat()
-        v_hat = state.v_hat()
-        max_q = max(max_q, q_hat)
-        max_v = max(max_v, v_hat)
-        _fold_windows(folds, t, q_hat)
-        if config.decimate and t % config.decimate == 0:
-            trace.append(
-                SlotMetrics(
-                    t,
-                    q_hat,
-                    v_hat,
-                    tuple(delivered),
-                    cidx,
-                    case,
-                    sticky and cidx is not None,
-                    flush,
-                    overhead,
-                )
-            )
-    assert sum(delivered) + state.v_hat() == sum(arrived)
-    return RunResult(
-        config=config,
-        trace=trace,
-        arrivals_total=tuple(arrived),
-        delivered_total=tuple(delivered),
-        final_q_hat=state.q_hat(),
-        final_v_hat=state.v_hat(),
-        max_q_hat=max_q,
-        max_v_hat=max_v,
-        overhead_hist=overhead_hist,
-        max_stored_by_level=max_stored,
-        max_exit_by_level=max_exit,
-        flush_slots=flush_slots,
-        idle_slots=idle_slots,
-        window_means=_window_means(folds),
-        state=state,
-    )
+        stored = []
+        if config.overhead_monitor:
+            for pid, _frm, to in plan.real_moves:
+                if to is not None:
+                    packet = next(p for p in state.queue(to) if p.pid == pid)
+                    stored.append((to.level, len(packet.constituents)))
+        deliveries = [(user, 1) for user, _native in plan.decoded]
+        return plan.case.value, plan.case is RpmCase.RETRANSMIT, deliveries, stored
+
+    def arrive(self, user: int, count: int) -> None:
+        for _ in range(count):
+            self.state.arrival(user)
+
+    def flush(self) -> None:
+        assert self.state.v_hat() == 0
+        for basis in self.state.bases:
+            basis.clear()
+
+    def audit(self, t: int) -> None:
+        config = self.config
+        cadences = ((config.audit_every, False), (config.deep_audit_every, True))
+        for every, deep in cadences:
+            if every and t % every == 0:
+                problems = audit_state(self.state, deep=deep)
+                if problems:
+                    raise MonitorViolation(problems, slot=t)
+
+    def totals(self):
+        return self.state.q_hat(), self.state.v_hat()
 
 
-def _run_counts(config: SimConfig, compiled: _Compiled, windows) -> RunResult:
+class _CountQueues:
+    """Fast backend: occupancy vectors plus per-packet constituent counts,
+    moved by the compiled (control, reception set) delta tables.  It has no
+    packets to audit; cross-engine equality is its check."""
+
+    state = None
+
+    def __init__(self, config: SimConfig, compiled: _Compiled):
+        nq = len(compiled.queues)
+        self.weights = compiled.weights
+        self.levels = compiled.levels
+        self.roots = compiled.roots
+        self.lengths = [0] * nq
+        self.sizes = [deque() for _ in range(nq)]
+        self.nonzero = 0
+        self.q_hat = self.v_hat = 0
+
+    def scan(self):
+        return self.lengths, self.nonzero
+
+    def head_size(self, cc: _CompiledControl) -> int:
+        return sum(self.sizes[q][0] for q in cc.queue_ids)
+
+    def transmit(self, cc: _CompiledControl, s: UserSet, t: int):
+        delta = cc.deltas[s.mask]
+        popped = {}
+        for q in delta.pops:
+            popped[q] = self.sizes[q].popleft()
+            self.lengths[q] -= 1
+            self.q_hat -= 1
+            self.v_hat -= self.weights[q]
+            if not self.lengths[q]:
+                self.nonzero &= ~(1 << q)
+        pushes = [(dst, popped[src]) for src, dst in delta.moves]
+        if delta.merge_target is not None:
+            merged = sum(popped[q] for q in delta.merge_sources)
+            pushes.append((delta.merge_target, merged))
+        for q, size in pushes:
+            self._push(q, size)
+        stored = [(self.levels[q], size) for q, size in pushes]
+        return delta.case, delta.retransmit, delta.deliveries, stored
+
+    def _push(self, q: int, size: int) -> None:
+        self.sizes[q].append(size)
+        self.lengths[q] += 1
+        self.q_hat += 1
+        self.v_hat += self.weights[q]
+        self.nonzero |= 1 << q
+
+    def arrive(self, user: int, count: int) -> None:
+        for _ in range(count):
+            self._push(self.roots[user], 1)
+
+    def flush(self) -> None:
+        pass  # no receiver stores to clear
+
+    def audit(self, t: int) -> None:
+        pass
+
+    def totals(self):
+        return self.q_hat, self.v_hat
+
+
+def run(config: SimConfig, *, windows=()) -> RunResult:
+    """Simulate config.horizon slots; optional windows are (start, stop)
+    slot ranges whose mean backlog is folded on the fly.
+
+    Per slot: select (or repeat a sticky control), check the transmitted
+    composite's size, draw the reception set, move the heads, audit, and
+    draw arrivals.  Flush and idle slots draw no channel randomness.
+    """
+    config.validate()
+    compiled = compile_catalog(config)
+    backend = _ObjectQueues if config.engine == "object" else _CountQueues
+    queues = backend(config, compiled)
     n = config.n_users
-    model = config.erasure
     chan = make_rng(config.seed, "chan")
     arr = make_rng(config.seed, "arr")
     pol = make_rng(config.seed, "policy")
-    nq = len(compiled.queues)
-    weights = compiled.weights
-    levels = compiled.levels
-    roots = compiled.roots
-    lengths = [0] * nq
-    sizes = [deque() for _ in range(nq)]
-    nonzero = 0
-    q_hat = v_hat = 0
 
     delivered = [0] * n
     arrived = [0] * n
@@ -497,19 +467,22 @@ def _run_counts(config: SimConfig, compiled: _Compiled, windows) -> RunResult:
     max_stored: dict = {}
     max_exit: dict = {}
     flush_slots = idle_slots = 0
-    max_q = max_v = 0
-    folds = _window_folds(windows)
+    q_hat = v_hat = max_q = max_v = 0
+    folds = [[int(lo), int(hi), 0] for lo, hi in windows]
 
     for t in range(config.horizon):
         sticky = pending is not None and config.retransmit_mode == "sticky"
-        cidx = pending if sticky else _select(
-            compiled, lengths, nonzero, config.policy, pol
-        )
+        if sticky:
+            cidx = pending
+        else:
+            lengths, nonzero = queues.scan()
+            cidx = _select(compiled, lengths, nonzero, config.policy, pol)
         flush = False
         case = None
         overhead = 0
         if cidx is None:
             if config.flush_on_empty and transmitted_since_flush and q_hat == 0:
+                queues.flush()
                 flush = True
                 flush_slots += 1
                 transmitted_since_flush = False
@@ -517,7 +490,7 @@ def _run_counts(config: SimConfig, compiled: _Compiled, windows) -> RunResult:
                 idle_slots += 1
         else:
             cc = compiled.controls[cidx]
-            overhead = sum(sizes[q][0] for q in cc.queue_ids)
+            overhead = queues.head_size(cc)
             if config.overhead_monitor and overhead > factorial(cc.exit_level):
                 raise MonitorViolation(
                     [
@@ -526,62 +499,35 @@ def _run_counts(config: SimConfig, compiled: _Compiled, windows) -> RunResult:
                     ],
                     slot=t,
                 )
-            s = sample_reception(model, chan)
-            delta = cc.deltas[s.mask]
-            case = delta.case
+            s = sample_reception(config.erasure, chan)
+            case, retransmit, deliveries, stored = queues.transmit(cc, s, t)
             transmitted_since_flush = True
-            pending = cidx if delta.retransmit else None
-            popped = {}
-            for q in delta.pops:
-                popped[q] = sizes[q].popleft()
-                lengths[q] -= 1
-                q_hat -= 1
-                v_hat -= weights[q]
-                if not lengths[q]:
-                    nonzero &= ~(1 << q)
-            pushes = [(dst, popped[src]) for src, dst in delta.moves]
-            if delta.merge_target is not None:
-                pushes.append(
-                    (
-                        delta.merge_target,
-                        sum(popped[q] for q in delta.merge_sources),
-                    )
-                )
-            for q, size in pushes:
-                sizes[q].append(size)
-                lengths[q] += 1
-                q_hat += 1
-                v_hat += weights[q]
-                nonzero |= 1 << q
-                if config.overhead_monitor:
-                    if size > _stored_cap(levels[q]):
+            pending = cidx if retransmit else None
+            for user, count in deliveries:
+                delivered[user] += count
+            if config.overhead_monitor:
+                for level, size in stored:
+                    if size > _stored_cap(level):
                         raise MonitorViolation(
-                            [
-                                f"stored packet of {size} constituents at "
-                                f"level {levels[q]}"
-                            ],
+                            [f"stored packet of {size} constituents at level {level}"],
                             slot=t,
                         )
-                    if size > max_stored.get(levels[q], 0):
-                        max_stored[levels[q]] = size
-            for user, count in delta.deliveries:
-                delivered[user] += count
+                    if size > max_stored.get(level, 0):
+                        max_stored[level] = size
             overhead_hist[overhead] = overhead_hist.get(overhead, 0) + 1
             if overhead > max_exit.get(cc.exit_level, 0):
                 max_exit[cc.exit_level] = overhead
+        queues.audit(t)
         batch = sample_arrivals(config.arrivals, arr)
         for user, count in enumerate(batch):
             arrived[user] += count
-            root = roots[user]
-            for _ in range(count):
-                sizes[root].append(1)
-                lengths[root] += 1
-                q_hat += 1
-                v_hat += 1
-                nonzero |= 1 << root
+            queues.arrive(user, count)
+        q_hat, v_hat = queues.totals()
         max_q = max(max_q, q_hat)
         max_v = max(max_v, v_hat)
-        _fold_windows(folds, t, q_hat)
+        for f in folds:
+            if f[0] <= t < f[1]:
+                f[2] += q_hat
         if config.decimate and t % config.decimate == 0:
             trace.append(
                 SlotMetrics(
@@ -591,7 +537,7 @@ def _run_counts(config: SimConfig, compiled: _Compiled, windows) -> RunResult:
                     tuple(delivered),
                     cidx,
                     case,
-                    sticky and cidx is not None,
+                    sticky,
                     flush,
                     overhead,
                 )
@@ -611,8 +557,8 @@ def _run_counts(config: SimConfig, compiled: _Compiled, windows) -> RunResult:
         max_exit_by_level=max_exit,
         flush_slots=flush_slots,
         idle_slots=idle_slots,
-        window_means=_window_means(folds),
-        state=None,
+        window_means=tuple(f[2] / (f[1] - f[0]) for f in folds),
+        state=queues.state,
     )
 
 
@@ -623,42 +569,19 @@ def worker_count(requested=None, task_count=None) -> int:
     cap = requested
     if cap is None:
         env = os.environ.get("BECSIM_THREADS", "")
-        cap = int(env) if env else (os.cpu_count() or 1)
+        try:
+            cap = int(env) if env else (os.cpu_count() or 1)
+        except ValueError as err:
+            raise ConfigError(
+                f"BECSIM_THREADS must be an integer, not {env!r}"
+            ) from err
     if task_count is not None:
         cap = min(cap, task_count)
     return max(1, cap)
 
 
 def _probe_task(args):
-    (
-        n_users,
-        model,
-        arrivals_rates,
-        restriction,
-        policy,
-        retransmit_mode,
-        flush_on_empty,
-        engine,
-        seed_name,
-        window,
-    ) = args
-    config = SimConfig(
-        n_users=n_users,
-        horizon=2 * window,
-        erasure=model,
-        arrivals=ArrivalModel.bernoulli(arrivals_rates),
-        restriction=restriction,
-        seed=seed_name,
-        engine=engine,
-        policy=policy,
-        retransmit_mode=retransmit_mode,
-        flush_on_empty=flush_on_empty,
-        audit_every=0,
-        deep_audit_every=0,
-        decode_monitor=False,
-        overhead_monitor=False,
-        decimate=0,
-    )
+    config, window = args
     result = run(
         config,
         windows=((window // 2, window), (3 * window // 2, 2 * window)),
@@ -692,20 +615,20 @@ def stability_probe(
         if any(r > 1 for r in rates):
             raise ConfigError(f"scaled rate above 1 at scale {scale}")
         for k in range(seeds):
-            tasks.append(
-                (
-                    config.n_users,
-                    config.erasure,
-                    rates,
-                    config.restriction,
-                    config.policy,
-                    config.retransmit_mode,
-                    config.flush_on_empty,
-                    engine,
-                    f"{config.seed}/probe/{scale}/{k}",
-                    window,
-                )
+            task = replace(
+                config,
+                horizon=2 * window,
+                arrivals=ArrivalModel.bernoulli(rates),
+                seed=f"{config.seed}/probe/{scale}/{k}",
+                engine=engine,
+                audit_every=0,
+                deep_audit_every=0,
+                decode_monitor=False,
+                overhead_monitor=False,
+                decimate=0,
+                catalog=None,
             )
+            tasks.append((task, window))
     n_workers = worker_count(workers, len(tasks))
     if n_workers == 1:
         outcomes = [_probe_task(t) for t in tasks]

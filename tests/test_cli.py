@@ -202,6 +202,17 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(tmp_path / "absent.json")]) == 1
         assert main(simulate_args(tmp_path, extra=("--lambda", "0.3"))) == 1
 
+    @pytest.mark.parametrize(
+        "field", ["n_users", "horizon", "audit_every", "deep_audit_every", "decimate"]
+    )
+    @pytest.mark.parametrize("value", ["abc", 2.5, None])
+    def test_non_integer_field_maps_to_one(self, tmp_path, capsys, field, value):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"lambda": ["1/5", "1/5"], field: value}))
+        args = ["simulate", "--config", str(conf), "--out", str(tmp_path)]
+        assert main(args) == 1
+        assert "config error:" in capsys.readouterr().err
+
     def test_monitor_violation_maps_to_two(self, tmp_path, monkeypatch):
         import becsim.cli as cli_mod
 

@@ -2,7 +2,7 @@
 
 The counts engine has no packets, tokens or bases, so its correctness case
 rests on per-slot metric equality with the fully audited object engine over
-identical seeds.  The remaining tests pin config validation, degenerate
+identical seeds, on a fixed grid and on random configurations.  The remaining tests pin config validation, degenerate
 channels, retransmit stickiness, flush accounting, decimation, windowed
 means, monitor wiring and probe verdicts.
 """
@@ -11,12 +11,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from becsim.channel import ArrivalModel, ErasureModel
 from becsim.coding import enumerate_controls
 from becsim.core import ConfigError, MonitorViolation
 from becsim.movement import synthesize_state
-from becsim.scheduler import TransitionTable, select_control
+from becsim.scheduler import DELIVERED, TransitionTable, select_control
 from becsim.sim import (
     SimConfig,
     _queue_space,
@@ -160,18 +162,94 @@ class TestEngineEquivalence:
             assert traces[0] == traces[1]
 
 
+@st.composite
+def random_configs(draw):
+    """Any N <= 4 system: iid erasures (rational or float) or a joint pmf
+    with zero-mass sets, either policy, retransmit mode and flush rule."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["rational", "float", "joint"]))
+    if kind == "joint":
+        weights = draw(
+            st.lists(st.integers(0, 3), min_size=1 << n, max_size=1 << n).filter(any)
+        )
+        model = ErasureModel.joint(
+            n,
+            {
+                tuple(u for u in range(n) if mask >> u & 1): F(w, sum(weights))
+                for mask, w in enumerate(weights)
+            },
+        )
+    else:
+        eps = [F(draw(st.integers(0, 10)), 10) for _ in range(n)]
+        if kind == "float":
+            eps = [float(e) for e in eps]
+        model = ErasureModel.iid(n, eps)
+    return dict(
+        n=n,
+        horizon=300,
+        eps=model,
+        rates=tuple(draw(st.integers(0, 60)) / (100 * n) for _ in range(n)),
+        restriction="table8" if n == 4 else "full",
+        policy=draw(st.sampled_from(["maxweight", "random"])),
+        retransmit_mode=draw(st.sampled_from(["sticky", "reselect"])),
+        flush_on_empty=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+class TestEngineProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(random_configs())
+    def test_engines_agree(self, params):
+        a, b = (run(make_config(engine=e, **params)) for e in ("object", "counts"))
+        assert a.trace == b.trace
+        assert a.arrivals_total == b.arrivals_total
+        assert a.delivered_total == b.delivered_total
+        assert (a.final_q_hat, a.final_v_hat) == (b.final_q_hat, b.final_v_hat)
+        assert (a.max_q_hat, a.max_v_hat) == (b.max_q_hat, b.max_v_hat)
+        assert a.overhead_hist == b.overhead_hist
+        assert a.max_stored_by_level == b.max_stored_by_level
+        assert a.max_exit_by_level == b.max_exit_by_level
+        assert (a.flush_slots, a.idle_slots) == (b.flush_slots, b.idle_slots)
+
+
+PARITY = [
+    (2, "full", JOINT2),
+    (3, "full", ErasureModel.iid(3, F(2, 5))),
+    (3, "full", ErasureModel.iid(3, 0.4)),
+    (4, "table8", ErasureModel.iid(4, F(1, 4))),
+]
+
+
 class TestSelection:
-    def test_compiled_select_matches_reference(self):
-        n = 3
-        catalog = enumerate_controls(n, "full")
-        model = ErasureModel.iid(n, F(2, 5))
+    @pytest.mark.parametrize(
+        "n, restriction, model",
+        PARITY,
+        ids=["n2-joint", "n3-rational", "n3-float", "n4-table8"],
+    )
+    def test_compiled_select_matches_reference(self, n, restriction, model):
+        catalog = enumerate_controls(n, restriction)
         table = TransitionTable.for_catalog(catalog, model)
-        cfg = make_config(n=n, horizon=1, eps=model)
+        cfg = make_config(n=n, horizon=1, eps=model, restriction=restriction)
         compiled = compile_catalog(cfg)
         queues, qidx, _, _, _ = _queue_space(n)
+        specs = list(catalog)
+        # the rows folded from the delta table are the reference table's
+        # rows with deliveries dropped, exactly, in the same order
+        for cc, spec in zip(compiled.controls, specs):
+            assert cc.node_terms == tuple(
+                (
+                    qidx[qi],
+                    tuple(
+                        (qidx[tgt[0]], p)
+                        for tgt, p in targets.items()
+                        if tgt != DELIVERED
+                    ),
+                )
+                for (qi, _i), targets in table.edges(spec).items()
+            )
         pairs = list(queues)
         rng = random.Random("select-parity")
-        specs = list(catalog)
         for _ in range(120):
             entries = [
                 (tuple(qi.listeners), tuple(qi.destinations))
@@ -385,5 +463,8 @@ class TestStabilityProbe:
         assert worker_count(None, 10) == 3
         assert worker_count(None, 2) == 2
         assert worker_count(8, 10) == 8
+        monkeypatch.setenv("BECSIM_THREADS", "two")
+        with pytest.raises(ConfigError):
+            worker_count(None, 10)
         monkeypatch.delenv("BECSIM_THREADS")
         assert worker_count(1, None) == 1
