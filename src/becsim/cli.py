@@ -1,9 +1,13 @@
 """Command line front end.
 
-One JSON config document drives each command; flags override individual
-fields.  Numeric strings in configs and flags are parsed as exact
-rationals ("1/2" and "0.5" both work), which keeps emitted tables
-byte-stable across runs and platforms.
+One JSON config document drives each command.  Each flag overrides the
+config field named by its argparse ``dest`` (``--n`` sets ``n_users``,
+``--lambda`` sets ``lambda``, or ``ray`` for ``probe``), so every command
+reads one merged document.  Its fields go through one set of readers:
+numbers, in configs and flags alike, are parsed as exact rationals ("1/2"
+and "0.5" both work), which keeps emitted tables byte-stable across runs
+and platforms; booleans must be JSON booleans; a field of the wrong JSON
+type is a config error.
 
 Exit codes: 0 success, 1 configuration/usage error, 2 monitor violation
 or replay divergence.
@@ -27,19 +31,28 @@ from .scheduler import TransitionTable, derive_transitions
 from .sim import SimConfig, run, stability_probe, summarize
 
 _FORMATS = ("csv", "json")
+# argparse dests that are not config fields
+_NOT_FIELDS = frozenset({"command", "handler", "config", "out", "format"})
 
 
-def _fraction(text) -> Fraction:
+# --- readers ----------------------------------------------------------------
+
+
+def _fraction(value, key: str) -> Fraction:
     try:
-        return Fraction(str(text))
+        return Fraction(str(value))
     except (ValueError, ZeroDivisionError) as err:
-        raise ConfigError(f"not a rational number: {text!r}") from err
+        raise ConfigError(f"{key}: not a rational number: {value!r}") from err
 
 
-def _fraction_list(value) -> tuple:
+def _fraction_list(doc: dict, key: str, default=None) -> tuple:
+    """A list of numbers, or one comma separated string of them."""
+    value = doc.get(key, default)
     if isinstance(value, str):
         value = value.split(",")
-    return tuple(_fraction(v) for v in value)
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key} must be a list of numbers, not {value!r}")
+    return tuple(_fraction(v, key) for v in value)
 
 
 def _integer(doc: dict, key: str, default: int) -> int:
@@ -49,60 +62,74 @@ def _integer(doc: dict, key: str, default: int) -> int:
         number = int(value)
     except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"{key} must be an integer, not {value!r}") from err
-    if isinstance(value, float) and value != number:
+    if isinstance(value, bool) or isinstance(value, float) and value != number:
         raise ConfigError(f"{key} must be an integer, not {value!r}")
     return number
 
 
-def _load_config(path) -> dict:
-    if path is None:
-        return {}
+def _boolean(doc: dict, key: str, default: bool) -> bool:
+    value = doc.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, not {value!r}")
+    return value
+
+
+def _section(doc: dict, key: str, default=None) -> dict:
+    value = doc.get(key, default)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a JSON object, not {value!r}")
+    return value
+
+
+def _load(path, what: str) -> dict:
     try:
         doc = json.loads(Path(path).read_text())
     except OSError as err:
-        raise ConfigError(f"cannot read config {path}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config {path} is not valid JSON: {err}") from err
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
+        raise ConfigError(f"cannot read {what} {path}: {err}") from err
+    except ValueError as err:  # not UTF-8, or not JSON
+        raise ConfigError(f"{what} {path} is not valid JSON: {err}") from err
+    return _section({what: doc}, what)
+
+
+def _document(args) -> dict:
+    """The config document with every given flag laid over its field."""
+    doc = {} if args.config is None else _load(args.config, "config")
+    doc.update(
+        (key, value)
+        for key, value in vars(args).items()
+        if value is not None and key not in _NOT_FIELDS
+    )
     return doc
 
 
-def _merge_flags(doc: dict, args, keys) -> dict:
-    merged = dict(doc)
-    for flag, key in keys.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            merged[key] = value
-    return merged
-
-
 def _erasure_from_doc(doc: dict, n: int) -> ErasureModel:
-    spec = doc.get("erasure", {"iid": doc.get("iid_eps", "1/2")})
+    if "iid_eps" in doc:
+        spec = {"iid": doc["iid_eps"]}
+    else:
+        spec = _section(doc, "erasure", {"iid": "1/2"})
     if "iid" in spec:
-        eps = spec["iid"]
-        if isinstance(eps, (list, tuple)):
-            return ErasureModel.iid(n, [_fraction(e) for e in eps])
-        return ErasureModel.iid(n, _fraction(eps))
+        if isinstance(spec["iid"], list):
+            return ErasureModel.iid(n, _fraction_list(spec, "iid"))
+        return ErasureModel.iid(n, _fraction(spec["iid"], "iid"))
     if "joint" in spec:
         pmf = {}
-        for key, p in spec["joint"].items():
-            users = tuple(int(u) for u in key.split(",") if u != "")
-            pmf[users] = _fraction(p)
+        for key, p in _section(spec, "joint").items():
+            users = [u.strip() for u in key.split(",") if u != ""]
+            if not all(u.isdecimal() for u in users):
+                raise ConfigError(f"reception set {key!r} is not a user list")
+            pmf[tuple(map(int, users))] = _fraction(p, "joint")
         return ErasureModel.joint(n, pmf)
     raise ConfigError("erasure section needs an 'iid' or 'joint' entry")
 
 
-def _arrivals_from_doc(doc: dict, n: int) -> ArrivalModel:
-    spec = doc.get("arrivals")
-    if spec is None:
-        rates = doc.get("lambda")
-        if rates is None:
-            raise ConfigError("no arrival rates: set 'lambda' or 'arrivals'")
-        return ArrivalModel.bernoulli(_fraction_list(rates))
-    if "bernoulli" in spec:
-        return ArrivalModel.bernoulli(_fraction_list(spec["bernoulli"]))
-    raise ConfigError("arrivals section needs a 'bernoulli' entry")
+def _arrivals_from_doc(doc: dict) -> ArrivalModel:
+    if doc.get("arrivals") is not None:
+        return ArrivalModel.bernoulli(
+            _fraction_list(_section(doc, "arrivals"), "bernoulli")
+        )
+    if doc.get("lambda") is None:
+        raise ConfigError("no arrival rates: set 'lambda' or 'arrivals'")
+    return ArrivalModel.bernoulli(_fraction_list(doc, "lambda"))
 
 
 def _sim_config(doc: dict) -> SimConfig:
@@ -111,17 +138,17 @@ def _sim_config(doc: dict) -> SimConfig:
         n_users=n,
         horizon=_integer(doc, "horizon", 10_000),
         erasure=_erasure_from_doc(doc, n),
-        arrivals=_arrivals_from_doc(doc, n),
+        arrivals=_arrivals_from_doc(doc),
         restriction=doc.get("restriction", FULL),
         seed=doc.get("seed", 0),
         engine=doc.get("engine", "object"),
         policy=doc.get("policy", "maxweight"),
         retransmit_mode=doc.get("retransmit_mode", "sticky"),
-        flush_on_empty=bool(doc.get("flush_on_empty", True)),
+        flush_on_empty=_boolean(doc, "flush_on_empty", True),
         audit_every=_integer(doc, "audit_every", 1),
         deep_audit_every=_integer(doc, "deep_audit_every", 1000),
-        decode_monitor=bool(doc.get("decode_monitor", True)),
-        overhead_monitor=bool(doc.get("overhead_monitor", True)),
+        decode_monitor=_boolean(doc, "decode_monitor", True),
+        overhead_monitor=_boolean(doc, "overhead_monitor", True),
         decimate=_integer(doc, "decimate", 1),
     )
     config.validate()
@@ -159,39 +186,25 @@ def _config_doc(config: SimConfig) -> dict:
     }
 
 
-def _row_dict(m, n: int) -> dict:
-    row = {"t": m.t, "q_hat": m.q_hat, "v_hat": m.v_hat}
-    for i in range(n):
-        row[f"delivered_{i}"] = m.delivered[i]
-    row["control"] = m.control
-    row["case"] = m.case
-    row["retransmit"] = int(m.retransmit)
-    row["flush"] = int(m.flush)
-    row["overhead"] = m.overhead
-    return row
+# --- writers ----------------------------------------------------------------
 
 
-def _trace_csv(result) -> str:
-    n = result.config.n_users
-    buf = io.StringIO()
-    fields = list(_row_dict_header(n))
-    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
-    writer.writeheader()
-    for m in result.trace:
-        row = _row_dict(m, n)
-        row["control"] = "" if row["control"] is None else row["control"]
-        row["case"] = "" if row["case"] is None else row["case"]
-        writer.writerow(row)
-    return buf.getvalue()
-
-
-def _row_dict_header(n: int):
-    yield "t"
-    yield "q_hat"
-    yield "v_hat"
-    for i in range(n):
-        yield f"delivered_{i}"
-    yield from ("control", "case", "retransmit", "flush", "overhead")
+def _trace_table(result) -> tuple:
+    """A trace's CSV header (written even when no row is) and row dicts."""
+    head = ["t", "q_hat", "v_hat"]
+    head += [f"delivered_{i}" for i in range(result.config.n_users)]
+    rows = [
+        dict(
+            zip(head, (m.t, m.q_hat, m.v_hat, *m.delivered)),
+            control=m.control,
+            case=m.case,
+            retransmit=int(m.retransmit),
+            flush=int(m.flush),
+            overhead=m.overhead,
+        )
+        for m in result.trace
+    ]
+    return head + ["control", "case", "retransmit", "flush", "overhead"], rows
 
 
 def _dump_json(obj) -> str:
@@ -204,98 +217,63 @@ def _write(path: Path, text: str) -> None:
         fh.write(text)
 
 
+def _write_table(args, name: str, rows: list, doc=None, fields=None) -> Path:
+    """Rows as ``name.csv``, or doc (the rows by default) as ``name.json``,
+    in the output directory; a None cell is an empty CSV field."""
+    path = Path(args.out) / f"{name}.{args.format}"
+    if args.format == "json":
+        _write(path, _dump_json(rows if doc is None else doc))
+        return path
+    buf = io.StringIO()
+    writer = csv.DictWriter(
+        buf, fieldnames=fields or list(rows[0]), lineterminator="\n"
+    )
+    writer.writeheader()
+    writer.writerows(rows)
+    _write(path, buf.getvalue())
+    return path
+
+
 # --- commands -------------------------------------------------------------
 
 
 def _cmd_simulate(args) -> int:
-    doc = _merge_flags(
-        _load_config(args.config),
-        args,
-        {
-            "seed": "seed",
-            "horizon": "horizon",
-            "n": "n_users",
-            "iid_eps": "iid_eps",
-            "lam": "lambda",
-            "restriction": "restriction",
-            "decimate": "decimate",
-            "engine": "engine",
-            "policy": "policy",
-        },
-    )
-    if "iid_eps" in doc:
-        doc["erasure"] = {"iid": doc.pop("iid_eps")}
-    config = _sim_config(doc)
+    config = _sim_config(_document(args))
     result = run(config)
-    out = Path(args.out)
-    if args.format == "csv":
-        _write(out / "trace.csv", _trace_csv(result))
-        trace_path = out / "trace.csv"
-    else:
-        rows = [_row_dict(m, config.n_users) for m in result.trace]
-        _write(
-            out / "trace.json",
-            _dump_json({"config": _config_doc(config), "rows": rows}),
-        )
-        trace_path = out / "trace.json"
-    _write(out / "summary.json", _dump_json(summarize(result)))
-    print(f"wrote {trace_path} and {out / 'summary.json'}")
+    fields, rows = _trace_table(result)
+    doc = {"config": _config_doc(config), "rows": rows}
+    path = _write_table(args, "trace", rows, doc=doc, fields=fields)
+    summary = Path(args.out) / "summary.json"
+    _write(summary, _dump_json(summarize(result)))
+    print(f"wrote {path} and {summary}")
     return 0
 
 
 def _cmd_probe(args) -> int:
-    doc = _merge_flags(
-        _load_config(args.config),
-        args,
-        {
-            "seed": "seed",
-            "n": "n_users",
-            "iid_eps": "iid_eps",
-            "lam": "ray",
-            "restriction": "restriction",
-            "scales": "scales",
-            "window": "window",
-            "seeds": "seeds",
-        },
-    )
-    if "iid_eps" in doc:
-        doc["erasure"] = {"iid": doc.pop("iid_eps")}
-    ray = doc.get("ray") or doc.get("lambda")
-    if ray is None:
+    doc = _document(args)
+    key = "ray" if doc.get("ray") else "lambda"
+    if doc.get(key) is None:
         raise ConfigError("probe needs a 'ray' (or --lambda)")
-    ray = tuple(float(f) for f in _fraction_list(ray))
-    scales = doc.get("scales", ("0.9", "1.1"))
-    if isinstance(scales, str):
-        scales = scales.split(",")
-    scales = tuple(float(s) for s in scales)
+    ray = tuple(float(f) for f in _fraction_list(doc, key))
+    scales = _fraction_list(doc, "scales", ("0.9", "1.1"))
     doc.setdefault("horizon", 1)
     doc.setdefault("lambda", ["0"] * _integer(doc, "n_users", 2))
-    config = _sim_config(doc)
     reports = stability_probe(
-        config,
+        _sim_config(doc),
         ray,
-        scales,
+        tuple(float(s) for s in scales),
         seeds=_integer(doc, "seeds", 5),
         window=_integer(doc, "window", 100_000),
-        slope_threshold=float(doc.get("slope_threshold", 1e-3)),
-        engine=doc.get("probe_engine", "counts"),
+        slope_threshold=float(
+            _fraction(doc.get("slope_threshold", 1e-3), "slope_threshold")
+        ),
     )
-    out = Path(args.out)
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["scale", "verdict", "max_q"] + [
-            f"slope_{k}" for k in range(len(reports[0]["slopes"]))
-        ])
-        for rep in reports:
-            writer.writerow(
-                [rep["scale"], rep["verdict"], rep["max_q"]] + rep["slopes"]
-            )
-        _write(out / "probe.csv", buf.getvalue())
-        path = out / "probe.csv"
-    else:
-        _write(out / "probe.json", _dump_json(reports))
-        path = out / "probe.json"
+    rows = [
+        {"scale": rep["scale"], "verdict": rep["verdict"], "max_q": rep["max_q"]}
+        | {f"slope_{k}": s for k, s in enumerate(rep["slopes"])}
+        for rep in reports
+    ]
+    path = _write_table(args, "probe", rows, doc=reports)
     for rep in reports:
         print(f"scale {rep['scale']}: {rep['verdict']}")
     print(f"wrote {path}")
@@ -318,27 +296,21 @@ def _regions_rays(n, eps, count, boundary, seed):
 
 
 def _cmd_regions(args) -> int:
-    doc = _merge_flags(
-        _load_config(args.config),
-        args,
-        {
-            "seed": "seed",
-            "n": "n_users",
-            "iid_eps": "iid_eps",
-            "rays": "rays",
-            "boundary": "boundary",
-        },
-    )
+    doc = _document(args)
     n = _integer(doc, "n_users", 4)
     if "iid_eps" in doc:
-        eps_grid = [_fraction(doc["iid_eps"])]
+        eps_grid = (_fraction(doc["iid_eps"], "iid_eps"),)
     else:
-        eps_grid = [_fraction(e) for e in doc.get("eps_grid", ("1/4", "1/2", "3/4"))]
+        eps_grid = _fraction_list(doc, "eps_grid", ("1/4", "1/2", "3/4"))
     count = _integer(doc, "rays", 5)
-    boundary = _fraction(doc.get("boundary", "99/100"))
-    check = bool(args.check_cert or doc.get("check_cert", False))
+    boundary = _fraction(doc.get("boundary", "99/100"), "boundary")
+    check = _boolean(doc, "check_cert", False)
     if check and n != 4:
         raise ConfigError("--check-cert requires --n 4")
+    if count < 1 or not eps_grid:
+        raise ConfigError("regions needs at least one ray and one erasure level")
+    if 1 in eps_grid:
+        raise ConfigError("erasure probability 1 leaves no rate region")
     seed = doc.get("seed", 0)
     catalog = enumerate_controls(n, TABLE8) if check else None
     rows = []
@@ -367,19 +339,7 @@ def _cmd_regions(args) -> int:
                 row["feasible"] = verdict["feasible"]
                 row["worst_slack"] = str(verdict["worst_slack"])
             rows.append(row)
-    out = Path(args.out)
-    if args.format == "json":
-        _write(out / "regions.json", _dump_json(rows))
-        path = out / "regions.json"
-    else:
-        buf = io.StringIO()
-        writer = csv.DictWriter(
-            buf, fieldnames=list(rows[0]), lineterminator="\n"
-        )
-        writer.writeheader()
-        writer.writerows(rows)
-        _write(out / "regions.csv", buf.getvalue())
-        path = out / "regions.csv"
+    path = _write_table(args, "regions", rows)
     if check:
         feasible = sum(1 for r in rows if r["feasible"])
         print(f"{feasible}/{len(rows)} grid points feasible")
@@ -388,44 +348,28 @@ def _cmd_regions(args) -> int:
 
 
 def _cmd_derive_table(args) -> int:
-    doc = _merge_flags(
-        _load_config(args.config),
-        args,
-        {"n": "n_users", "iid_eps": "iid_eps", "restriction": "restriction"},
-    )
+    doc = _document(args)
     n = _integer(doc, "n_users", 2)
-    eps = _fraction(doc.get("iid_eps", "1/2"))
-    restriction = doc.get("restriction", FULL)
-    model = ErasureModel.iid(n, eps)
-    catalog = enumerate_controls(n, restriction)
+    model = ErasureModel.iid(n, _fraction(doc.get("iid_eps", "1/2"), "iid_eps"))
+    catalog = enumerate_controls(n, doc.get("restriction", FULL))
     table = TransitionTable.for_catalog(catalog, model)
     table.validate()
-    out = Path(args.out)
-    path = out / f"transitions_n{n}.json"
+    path = Path(args.out) / f"transitions_n{n}.json"
     _write(path, table.to_json() + "\n")
     print(f"wrote {path}")
     return 0
 
 
 def _cmd_rpm_replay(args) -> int:
-    try:
-        doc = json.loads(Path(args.trace).read_text())
-    except OSError as err:
-        raise ConfigError(f"cannot read trace {args.trace}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"trace is not valid JSON: {err}") from err
-    if "config" not in doc or "rows" not in doc:
+    doc = _load(args.trace, "trace")
+    stored = doc.get("rows")
+    if not isinstance(stored, list):
         raise ConfigError("replay needs a JSON trace with config and rows")
-    conf = dict(doc["config"])
     # replay always through the fully audited engine
-    conf["engine"] = "object"
-    conf["audit_every"] = 1
-    conf["decode_monitor"] = True
-    conf["overhead_monitor"] = True
-    config = _sim_config(conf)
-    result = run(config)
-    fresh = [_row_dict(m, config.n_users) for m in result.trace]
-    stored = doc["rows"]
+    conf = dict(_section(doc, "config"), engine="object", audit_every=1)
+    conf.update(decode_monitor=True, overhead_monitor=True)
+    result = run(_sim_config(conf))
+    fresh = _trace_table(result)[1]
     if len(fresh) != len(stored):
         print(
             f"replay divergence: {len(stored)} stored rows, {len(fresh)} fresh",
@@ -433,7 +377,7 @@ def _cmd_rpm_replay(args) -> int:
         )
         return 2
     for a, b in zip(stored, fresh):
-        if dict(a) != b:
+        if a != b:
             print(f"replay divergence at t={b['t']}", file=sys.stderr)
             print(f" stored: {a}", file=sys.stderr)
             print(f" replay: {b}", file=sys.stderr)
@@ -446,17 +390,16 @@ def _cmd_rpm_replay(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # each dest outside _NOT_FIELDS is the config field the flag overrides
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="JSON config document")
     shared.add_argument("--seed", help="run seed (string or integer)")
     shared.add_argument("--out", default=".", help="output directory")
     shared.add_argument("--format", choices=_FORMATS, default="json")
-    shared.add_argument("--n", type=int, help="number of users")
+    shared.add_argument("--n", dest="n_users", type=int, help="number of users")
     shared.add_argument("--iid-eps", dest="iid_eps", help="iid erasure probability")
-    shared.add_argument(
-        "--lambda", dest="lam", help="comma separated per-user arrival rates"
-    )
     shared.add_argument("--restriction", choices=(FULL, TABLE8))
+    rates = "comma separated per-user arrival rates"
 
     parser = argparse.ArgumentParser(
         prog="becsim",
@@ -465,6 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", parents=[shared], help="run one simulation")
+    sim.add_argument("--lambda", help=rates)
     sim.add_argument("--horizon", type=int)
     sim.add_argument("--decimate", type=int)
     sim.add_argument("--engine", choices=("object", "counts"))
@@ -474,6 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
     probe = sub.add_parser(
         "probe", parents=[shared], help="stability slope test along a ray"
     )
+    probe.add_argument("--lambda", dest="ray", help=f"the ray: {rates}")
     probe.add_argument("--scales", help="comma separated ray multipliers")
     probe.add_argument("--window", type=int)
     probe.add_argument("--seeds", type=int)
@@ -487,6 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
     regions.add_argument(
         "--check-cert",
         action="store_true",
+        default=None,
         help="build and verify the 4-user certificate at each point",
     )
     regions.set_defaults(handler=_cmd_regions)

@@ -23,11 +23,11 @@ from .scheduler import DELIVERED, derive_transitions
 RateVector = Sequence
 
 
-class DegenerateChannelError(ValueError):
+class DegenerateChannelError(ConfigError, ValueError):
     """Some user group is erased with probability 1."""
 
 
-class InfeasibleRateError(ValueError):
+class InfeasibleRateError(ConfigError, ValueError):
     """The requested rates lie outside the achievable region."""
 
 

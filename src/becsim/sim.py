@@ -57,7 +57,6 @@ class SimConfig:
     decode_monitor: bool = True
     overhead_monitor: bool = True
     decimate: int = 1  # trace row every k slots; 0 keeps no trace
-    catalog: Optional[ControlCatalog] = None
 
     def validate(self):
         if self.horizon < 1:
@@ -160,10 +159,12 @@ def _queue_space(n_users: int):
     return space
 
 
-def _compile_deltas(n_users, catalog, cache_key):
+def _compile_deltas(catalog: ControlCatalog):
     """Run the movement rules once per (control, reception set) against a
     canonical one-packet-per-queue state; the only enumeration of them."""
-    if cache_key is not None and cache_key in _DELTA_CACHE:
+    n_users = catalog.n_users
+    cache_key = (n_users, catalog.restriction)
+    if cache_key in _DELTA_CACHE:
         return _DELTA_CACHE[cache_key]
     _, qidx, _, _, _ = _queue_space(n_users)
     out = []
@@ -200,8 +201,7 @@ def _compile_deltas(n_users, catalog, cache_key):
                 deliveries=tuple(sorted(counts.items())),
             )
         out.append(per_s)
-    if cache_key is not None:
-        _DELTA_CACHE[cache_key] = out
+    _DELTA_CACHE[cache_key] = out
     return out
 
 
@@ -238,12 +238,7 @@ def _fold_terms(queues, cc: _CompiledControl, pmf: list) -> tuple:
 
 def compile_catalog(config: SimConfig) -> _Compiled:
     n = config.n_users
-    catalog = (
-        config.catalog
-        if config.catalog is not None
-        else enumerate_controls(n, config.restriction)
-    )
-    cache_key = None if config.catalog is not None else (n, config.restriction)
+    catalog = enumerate_controls(n, config.restriction)
     queues, qidx, weights, levels, roots = _queue_space(n)
     controls = []
     for spec in catalog:
@@ -260,7 +255,7 @@ def compile_catalog(config: SimConfig) -> _Compiled:
             )
         )
     if config.engine == "counts" or config.policy == "maxweight":
-        for cc, deltas in zip(controls, _compile_deltas(n, catalog, cache_key)):
+        for cc, deltas in zip(controls, _compile_deltas(catalog)):
             cc.deltas = deltas
     if config.policy == "maxweight":
         pmf = list(config.erasure.pmf())
@@ -599,12 +594,13 @@ def stability_probe(
     window: int = 100_000,
     slope_threshold: float = 1e-3,
     workers: Optional[int] = None,
-    engine: str = "counts",
 ) -> list:
     """Classify each scaled ray as bounded or growing via a windowed-mean
-    slope test, majority-voted across seeded runs."""
+    slope test, majority-voted across seeded runs on the counts engine."""
     from .regions import outer_bound_margin
 
+    if seeds < 1 or not scales:
+        raise ConfigError("a probe needs at least one scale and one seed")
     margin = outer_bound_margin(ray, config.erasure)
     if margin <= 0:
         raise ConfigError("ray has zero margin; nothing to scale")
@@ -620,13 +616,12 @@ def stability_probe(
                 horizon=2 * window,
                 arrivals=ArrivalModel.bernoulli(rates),
                 seed=f"{config.seed}/probe/{scale}/{k}",
-                engine=engine,
+                engine="counts",
                 audit_every=0,
                 deep_audit_every=0,
                 decode_monitor=False,
                 overhead_monitor=False,
                 decimate=0,
-                catalog=None,
             )
             tasks.append((task, window))
     n_workers = worker_count(workers, len(tasks))

@@ -1,13 +1,19 @@
-"""Command line behavior: config merging, output stability, exit codes.
+"""Command line behavior: config merging, output stability, exit codes,
+also over random documents with malformed fields.
 
 main() is called in-process with explicit argv so the tests stay fast;
 outputs land in tmp_path.
 """
 
 import json
+import os
 import pathlib
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from becsim.cli import main
 from becsim.core import MonitorViolation
@@ -213,6 +219,53 @@ class TestExitCodes:
         assert main(args) == 1
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, doc, extra",
+        [
+            ("simulate", {"erasure": {"joint": {"x": "1"}}}, []),
+            ("simulate", {"erasure": {"joint": {"-1": "1"}}}, []),
+            ("simulate", {"erasure": 5}, []),
+            ("simulate", {"erasure": {"joint": 3}}, []),
+            ("simulate", {"lambda": 5}, []),
+            ("simulate", {"arrivals": 5}, []),
+            ("probe", {"ray": 5}, []),
+            ("probe", {}, ["--scales", "x"]),
+            ("probe", {"slope_threshold": "abc"}, []),
+            ("probe", {}, ["--seeds", "0"]),
+            ("regions", {"eps_grid": 5}, []),
+            ("regions", {}, ["--rays", "0", "--format", "csv"]),
+            ("regions", {}, ["--iid-eps", "1"]),
+            ("simulate", {"flush_on_empty": "false"}, []),
+        ],
+        ids=[
+            "joint-key-not-a-number",
+            "joint-key-negative",
+            "erasure-not-an-object",
+            "joint-not-an-object",
+            "lambda-not-a-list",
+            "arrivals-not-an-object",
+            "ray-not-a-list",
+            "scales-not-numbers",
+            "slope-threshold-not-a-number",
+            "no-seeds",
+            "eps-grid-not-a-list",
+            "no-rays-csv",
+            "erasure-probability-one",
+            "boolean-as-string",
+        ],
+    )
+    def test_malformed_field_maps_to_one(self, tmp_path, capsys, command, doc, extra):
+        base = {
+            "simulate": {"n_users": 2, "horizon": 20, "lambda": ["1/5", "1/5"]},
+            "probe": {"n_users": 2, "ray": [1, 1], "window": 20, "seeds": 1},
+            "regions": {"n_users": 2, "rays": 1},
+        }[command]
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({**base, **doc}))
+        args = [command, "--config", str(conf), "--out", str(tmp_path), *extra]
+        assert main(args) == 1
+        assert "config error:" in capsys.readouterr().err
+
     def test_monitor_violation_maps_to_two(self, tmp_path, monkeypatch):
         import becsim.cli as cli_mod
 
@@ -224,3 +277,91 @@ class TestExitCodes:
 
     def test_help_maps_to_zero(self):
         assert main(["--help"]) == 0
+
+
+# Values of the wrong JSON type or out of range for any field.
+BAD = ["abc", "", "1/0", "3/2", "-1", -1, 0, 2.5, None, True, [], {}, ["x"], {"a": 1}]
+RATES = ["1/5", "1/5"]
+# field: (valid values, further values that are wrong for this field)
+FIELDS = {
+    "simulate": {
+        "n_users": ([2], [3, 17]),
+        "horizon": ([1, 40], []),
+        "lambda": ([RATES, "1/5,1/10"], [["1/5"] * 3]),
+        "arrivals": ([{"bernoulli": RATES}], [{"bernoulli": 5}, {"poisson": RATES}]),
+        "erasure": (
+            [
+                {"iid": "1/2"},
+                {"iid": ["1/2", "1/3"]},
+                {"joint": {"": "1/4", "0": "1/4", "0,1": "1/2"}},
+            ],
+            [{"joint": {"0,x": "1"}}, {"joint": {"0": "1/2"}}, {"markov": "1/2"}],
+        ),
+        "iid_eps": (["1/3", "0", "1", 0.25], ["5/4"]),
+        "restriction": (["full"], ["table8"]),
+        "seed": (["s", 3], []),
+        "engine": (["object", "counts"], ["abacus"]),
+        "policy": (["maxweight", "random"], ["fifo"]),
+        "retransmit_mode": (["sticky", "reselect"], ["never"]),
+        "flush_on_empty": ([True, False], ["false"]),
+        "audit_every": ([0, 1, 7], []),
+        "deep_audit_every": ([0, 1, 10], []),
+        "decode_monitor": ([True, False], ["yes"]),
+        "overhead_monitor": ([True, False], [1]),
+        "decimate": ([0, 1, 3], []),
+    },
+    "probe": {
+        "n_users": ([2], [3]),
+        "ray": ([["1", "1"], "3,1"], [["1"], [0, 0]]),
+        "lambda": ([RATES], [["1/5"] * 3]),
+        "iid_eps": (["1/2", 0.25], ["1"]),
+        "scales": ([["1/2"], "0.5,1.5"], [[3], "x"]),
+        "window": ([1, 20], []),
+        "seeds": ([1, 2], []),
+        "slope_threshold": (["0.01", 1e-3], []),
+        "restriction": (["full"], ["table8"]),
+        "seed": (["p", 7], []),
+    },
+    "regions": {
+        "n_users": ([1, 2, 3, 4], []),
+        "iid_eps": (["1/2", "0", "2/5"], ["1"]),
+        "eps_grid": ([["1/4"], "1/2,3/4", ["0", "1/10"]], [["1"]]),
+        "rays": ([1, 2], []),
+        "boundary": (["99/100", "1/2"], ["2"]),
+        "check_cert": ([True, False], ["yes"]),
+        "seed": (["r", 5], []),
+    },
+}
+# Fields whose default sizes a long run are always drawn, so that every
+# example runs in milliseconds.
+SIZES = {"horizon", "window", "seeds", "rays"}
+
+
+@st.composite
+def documents(draw):
+    """A command, a document with at most two wrong fields and the others
+    absent or valid, and an output format."""
+    command = draw(st.sampled_from(sorted(FIELDS)))
+    fields = FIELDS[command]
+    wrong = draw(st.sets(st.sampled_from(sorted(fields)), max_size=2))
+    doc = {}
+    for key, (good, bad) in fields.items():
+        if key in wrong:
+            doc[key] = draw(st.sampled_from(BAD + bad))
+        elif key in SIZES or draw(st.booleans()):
+            doc[key] = draw(st.sampled_from(good))
+    return command, doc, draw(st.sampled_from(["csv", "json"]))
+
+
+class TestMalformedDocuments:
+    @settings(max_examples=300, deadline=None)
+    @given(documents())
+    def test_exit_code_never_a_traceback(self, drawn):
+        command, doc, fmt = drawn
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(
+            os.environ, {"BECSIM_THREADS": "1"}
+        ):
+            conf = pathlib.Path(tmp) / "conf.json"
+            conf.write_text(json.dumps(doc))
+            args = [command, "--config", str(conf), "--out", tmp, "--format", fmt]
+            assert main(args) in (0, 1, 2)
