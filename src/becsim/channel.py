@@ -8,9 +8,10 @@ and preserve them; sampling converts to float once.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator, Mapping, Sequence
+from bisect import bisect_right
+from typing import Iterator, Mapping, Sequence
 
-from .core import EMPTY, ConfigError, UserSet
+from .core import EMPTY, ConfigError, UserSet, check_n_users
 
 _TOL = 1e-12
 
@@ -24,6 +25,25 @@ def _as_user_set(key) -> UserSet:
     return key if isinstance(key, UserSet) else UserSet.from_iterable(key)
 
 
+def _sampling_table(entries) -> tuple:
+    """Positive-mass (outcome, p) entries with float cumulative bounds."""
+    outcomes, bounds = [], []
+    acc = 0.0
+    for outcome, p in entries:
+        if p:
+            acc += float(p)
+            outcomes.append(outcome)
+            bounds.append(acc)
+    return outcomes, bounds
+
+
+def _draw(table, rng: random.Random):
+    """The first outcome whose bound exceeds a uniform draw; a draw at or
+    above the rounded total takes the last positive-mass outcome."""
+    outcomes, bounds = table
+    return outcomes[min(bisect_right(bounds, rng.random()), len(outcomes) - 1)]
+
+
 class ErasureModel:
     """Distribution of the per-slot reception set."""
 
@@ -31,11 +51,12 @@ class ErasureModel:
         self.n_users = n_users
         self.eps = None if eps is None else tuple(eps)
         self._pmf = pmf
-        self._cdf = None
+        self._table = None if pmf is None else _sampling_table(self.pmf())
 
     @classmethod
     def iid(cls, n_users: int, eps) -> "ErasureModel":
         """Independent erasures; eps is one probability or one per user."""
+        check_n_users(n_users)
         if not isinstance(eps, (list, tuple)):
             eps = [eps] * n_users
         if len(eps) != n_users:
@@ -48,6 +69,7 @@ class ErasureModel:
     @classmethod
     def joint(cls, n_users: int, pmf: Mapping) -> "ErasureModel":
         """Explicit pmf over reception subsets; missing subsets have mass 0."""
+        check_n_users(n_users)
         table = {}
         total = 0
         full = UserSet.full(n_users)
@@ -103,31 +125,16 @@ class ErasureModel:
                 if rng.random() >= self.eps[i]:
                     mask |= 1 << i
             return UserSet(mask)
-        if self._cdf is None:
-            acc, masks, cums = 0.0, [], []
-            for mask in sorted(self._pmf):
-                acc += float(self._pmf[mask])
-                masks.append(mask)
-                cums.append(acc)
-            self._cdf = (masks, cums)
-        masks, cums = self._cdf
-        x = rng.random()
-        for mask, c in zip(masks, cums):
-            if x < c:
-                return UserSet(mask)
-        return UserSet(masks[-1])
+        return _draw(self._table, rng)
 
 
 class ArrivalModel:
     """Distribution of the per-slot batch-arrival vector."""
 
-    def __init__(self, n_users, mode, rates, outcomes, probs):
+    def __init__(self, n_users, rates, table):
         self.n_users = n_users
-        self._mode = mode
         self.rates = rates
-        self._outcomes = outcomes
-        self._probs = probs
-        self._cdf = None
+        self._table = table  # None: independent Bernoulli arrivals
 
     @classmethod
     def bernoulli(cls, rates: Sequence) -> "ArrivalModel":
@@ -136,7 +143,7 @@ class ArrivalModel:
         for r in rates:
             if not 0 <= r <= 1:
                 raise ConfigError(f"arrival rate {r} outside [0, 1]")
-        return cls(len(rates), "bernoulli", rates, None, None)
+        return cls(len(rates), rates, None)
 
     @classmethod
     def joint(cls, n_users: int, pmf: Mapping[tuple, object]) -> "ArrivalModel":
@@ -157,24 +164,14 @@ class ArrivalModel:
             sum(p * vec[i] for vec, p in zip(outcomes, probs))
             for i in range(n_users)
         )
-        return cls(n_users, "joint", rates, outcomes, probs)
+        return cls(n_users, rates, _sampling_table(zip(outcomes, probs)))
 
     def sample(self, rng: random.Random) -> tuple[int, ...]:
-        if self._mode == "bernoulli":
+        if self._table is None:
             return tuple(
                 1 if rng.random() < r else 0 for r in self.rates
             )
-        if self._cdf is None:
-            acc, cums = 0.0, []
-            for p in self._probs:
-                acc += float(p)
-                cums.append(acc)
-            self._cdf = cums
-        x = rng.random()
-        for vec, c in zip(self._outcomes, self._cdf):
-            if x < c:
-                return vec
-        return self._outcomes[-1]
+        return _draw(self._table, rng)
 
 
 def p_gs(model: ErasureModel, g: UserSet, s: UserSet):

@@ -353,7 +353,6 @@ def _cmd_derive_table(args) -> int:
     model = ErasureModel.iid(n, _fraction(doc.get("iid_eps", "1/2"), "iid_eps"))
     catalog = enumerate_controls(n, doc.get("restriction", FULL))
     table = TransitionTable.for_catalog(catalog, model)
-    table.validate()
     path = Path(args.out) / f"transitions_n{n}.json"
     _write(path, table.to_json() + "\n")
     print(f"wrote {path}")

@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import permutations
 from typing import Iterable, Iterator
 
-from .core import EMPTY, ConfigError, QueueIndex, UserSet, validate_cc
+from .core import EMPTY, ConfigError, QueueIndex, UserSet, check_n_users, validate_cc
 
 FULL = "full"
 TABLE8 = "table8"
@@ -244,8 +244,7 @@ def _enumerate_table8(n_users: int) -> list[ControlSpec]:
 def enumerate_controls(
     n_users: int, restriction: str = FULL, *, max_controls: int = _DEFAULT_CAP
 ) -> ControlCatalog:
-    if not 1 <= n_users <= 16:
-        raise ConfigError(f"n_users must be in 1..16, got {n_users}")
+    check_n_users(n_users)
     if restriction == FULL:
         if n_users > _MAX_FULL_USERS:
             raise ConfigError(

@@ -16,6 +16,12 @@ class ConfigError(Exception):
     """Bad configuration or arguments (CLI exit code 1)."""
 
 
+def check_n_users(n_users: int) -> None:
+    """User sets are 16-bit masks, so a network has 1 to 16 users."""
+    if not 1 <= n_users <= 16:
+        raise ConfigError(f"n_users must be in 1..16, got {n_users}")
+
+
 class MonitorViolation(Exception):
     """A runtime invariant monitor fired (CLI exit code 2)."""
 
@@ -211,8 +217,7 @@ class NetworkState:
     receiver-side knowledge used by audits."""
 
     def __init__(self, n_users: int):
-        if not (1 <= n_users <= 16):
-            raise ConfigError(f"n_users must be in 1..16, got {n_users}")
+        check_n_users(n_users)
         self.n_users = n_users
         self.real_queues: dict = {}  # QueueIndex -> list[RealPacket]
         self.virtual_queues: dict = {}  # (QueueIndex, user) -> list[Token]

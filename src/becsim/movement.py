@@ -14,8 +14,10 @@ The decision tree, with its branch labels:
           receivers, then advance as in 2.2.1 (or do nothing if nobody
           involved received).
 
-Every decoding event removes exactly one pending token; audits before and
-after must both pass.
+Every head packet has one of four fates: held, delivered, relocated to a
+queue with a larger listener set, or merged into a higher-level composite;
+one helper, ``_relocate``, performs the last two.  Every decoding event
+removes exactly one pending token.  Auditing the state is the caller's job.
 """
 
 from __future__ import annotations
@@ -23,12 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import (
     EMPTY,
-    MonitorViolation,
-    NativePacketId,
     NetworkState,
     QueueIndex,
     RealPacket,
@@ -56,7 +56,6 @@ class ReceptionOutcome:
 @dataclass
 class MovementPlan:
     case: Optional[RpmCase] = None
-    s_observed: UserSet = EMPTY
     s_effective: UserSet = EMPTY
     decoded: list = field(default_factory=list)  # (user, NativePacketId)
     # (pid, from_queue | None, to_queue | None); None source = newly formed,
@@ -100,10 +99,7 @@ def _resolve_chosen(state, pairs, chosen):
                 raise ValueError(f"no packet available in {qi!r}")
             picked[qi] = q[0]
         return picked
-    if isinstance(chosen, Mapping):
-        picked = dict(chosen)
-    else:
-        picked = dict(zip(pairs, chosen))
+    picked = dict(zip(pairs, chosen))
     for qi in pairs:
         p = picked.get(qi)
         if p is None or p.location != qi or p not in state.queue(qi):
@@ -114,24 +110,21 @@ def _resolve_chosen(state, pairs, chosen):
 def apply_rpm(
     state: NetworkState,
     spec: ControlSpec,
-    chosen: Optional[Sequence[RealPacket] | Mapping[QueueIndex, RealPacket]],
+    chosen: Optional[Sequence[RealPacket]],
     outcome: ReceptionOutcome,
-    *,
-    audit_entry: bool = False,
 ) -> MovementPlan:
-    """Mutate state according to the movement rules; return what happened."""
-    assert validate_bcr(spec)
-    if audit_entry:
-        violations = audit_state(state, deep=True)
-        if violations:
-            raise MonitorViolation(violations)
+    """Mutate state according to the movement rules; return what happened.
 
+    chosen lists one packet per pair in sorted-pair order; None takes the
+    heads.
+    """
+    assert validate_bcr(spec)
     pairs = spec.sorted_pairs
     picked = _resolve_chosen(state, pairs, chosen)
     s = outcome.received
     if not s.issubset(UserSet.full(state.n_users)):
         raise ValueError("reception set mentions unknown users")
-    plan = MovementPlan(s_observed=s, s_effective=s)
+    plan = MovementPlan(s_effective=s)
 
     composite: frozenset = frozenset()
     for qi in pairs:
@@ -179,7 +172,7 @@ def apply_rpm(
     widest = max(qi.level for qi in pairs)
     if cut > widest:
         plan.case = RpmCase.MERGE
-        _merge(state, spec, picked, s, plan)
+        _merge(state, spec, picked, s, plan, composite)
         return plan
 
     plan.case = RpmCase.SHRINK
@@ -191,6 +184,26 @@ def apply_rpm(
     assert not union_d.issubset(s2)
     _advance(state, spec, picked, s2, plan)
     return plan
+
+
+def _relocate(state, plan, qi, p, s, target, holder):
+    """Take head p out of qi and carry the tokens of its destinations outside
+    s to target, where packet `holder` holds them: p itself, re-enqueued, or
+    the fresh composite p merged into."""
+    state.remove_packet(p)
+    if holder == p.pid:
+        p.location = target
+        state.append_packet(p)
+        plan.real_moves.append((p.pid, qi, target))
+    else:
+        plan.real_moves.append((p.pid, qi, None))
+    for i in qi.destinations - s:
+        tok = state.find_token(qi, i, p.pid)
+        state.remove_token(tok)
+        tok.location = target
+        tok.packet_id = holder
+        state.append_token(tok)
+        plan.token_moves.append((tok.native, (qi, i), (target, i)))
 
 
 def _advance(state, spec, picked, s, plan):
@@ -207,57 +220,24 @@ def _advance(state, spec, picked, s, plan):
             continue  # unchanged; keeps its position in the queue
         assert validate_cc(target, state.n_users)
         assert (target.level, target.sublevel) > (qi.level, qi.sublevel)
-        state.remove_packet(p)
-        p.location = target
-        state.append_packet(p)
-        plan.real_moves.append((p.pid, qi, target))
-        for i in remaining:
-            tok = state.find_token(qi, i, p.pid)
-            state.remove_token(tok)
-            tok.location = target
-            state.append_token(tok)
-            plan.token_moves.append((tok.native, (qi, i), (target, i)))
+        _relocate(state, plan, qi, p, s, target, p.pid)
 
 
-def _merge(state, spec, picked, s, plan):
+def _merge(state, spec, picked, s, plan, composite):
     pairs = spec.sorted_pairs
     target = QueueIndex(spec.common_listeners | s, destinations_of(spec) - s)
     assert validate_cc(target, state.n_users)
     assert target.level > max(qi.level for qi in pairs)
 
     if len(pairs) == 1:
-        qi = pairs[0]
-        p = picked[qi]
-        state.remove_packet(p)
-        p.location = target
-        state.append_packet(p)
-        plan.real_moves.append((p.pid, qi, target))
-        for i in qi.destinations - s:
-            tok = state.find_token(qi, i, p.pid)
-            state.remove_token(tok)
-            tok.location = target
-            state.append_token(tok)
-            plan.token_moves.append((tok.native, (qi, i), (target, i)))
+        p = picked[pairs[0]]
+        _relocate(state, plan, pairs[0], p, s, target, p.pid)
         return
 
-    merged_c: frozenset = frozenset()
-    for qi in pairs:
-        c = picked[qi].constituents
-        assert merged_c.isdisjoint(c)
-        merged_c = merged_c | c
     pid = state.fresh_pid()
     for qi in pairs:
-        p = picked[qi]
-        state.remove_packet(p)
-        plan.real_moves.append((p.pid, qi, None))
-        for i in qi.destinations - s:
-            tok = state.find_token(qi, i, p.pid)
-            state.remove_token(tok)
-            tok.location = target
-            tok.packet_id = pid
-            state.append_token(tok)
-            plan.token_moves.append((tok.native, (qi, i), (target, i)))
-    state.append_packet(RealPacket(pid, merged_c, target))
+        _relocate(state, plan, qi, picked[qi], s, target, pid)
+    state.append_packet(RealPacket(pid, composite, target))
     plan.real_moves.append((pid, None, target))
     plan.merged = (pid, target)
 

@@ -57,18 +57,26 @@ def _prefix_denominators(model: ErasureModel, perm):
     return denoms
 
 
-def outer_bound_argmax(rates: RateVector, model: ErasureModel):
-    """Largest weighted rate sum over service orders, with its argmax."""
-    _validate_rates(rates, model.n_users)
+def _best_order(rates: RateVector, model: ErasureModel, penalty=None):
+    """Largest weighted rate sum over service orders, less penalty(perm)
+    when given, with its argmax."""
     best = best_perm = None
     for perm in permutations(range(model.n_users)):
         denoms = _prefix_denominators(model, perm)
         total = 0
         for u, denom in zip(perm, denoms):
             total = total + rates[u] / denom
+        if penalty is not None:
+            total -= penalty(perm)
         if best is None or total > best:
             best, best_perm = total, perm
     return best, best_perm
+
+
+def outer_bound_argmax(rates: RateVector, model: ErasureModel):
+    """Largest weighted rate sum over service orders, with its argmax."""
+    _validate_rates(rates, model.n_users)
+    return _best_order(rates, model)
 
 
 def outer_bound_margin(rates: RateVector, model: ErasureModel):
@@ -99,16 +107,9 @@ def capacity_bound_argmax(rates: RateVector, model: ErasureModel, bits):
     _validate_rates(rates, model.n_users)
     if bits <= 0:
         raise ConfigError("packet length must be positive")
-    best = best_perm = None
-    for perm in permutations(range(model.n_users)):
-        denoms = _prefix_denominators(model, perm)
-        total = 0
-        for u, denom in zip(perm, denoms):
-            total = total + rates[u] / denom
-        total -= float(exponential_penalty(model, perm, bits))
-        if best is None or total > best:
-            best, best_perm = total, perm
-    return best, best_perm
+    return _best_order(
+        rates, model, lambda perm: float(exponential_penalty(model, perm, bits))
+    )
 
 
 def capacity_bound_margin(rates: RateVector, model: ErasureModel, bits):
@@ -553,12 +554,12 @@ def fm_eliminate(
     poly: Polyhedron,
     var: str,
     *,
-    simplify: bool = True,
     assume_nonneg: bool = True,
     tol=1e-9,
 ) -> Polyhedron:
     """Project out one variable: combine every lower bound on it with every
-    upper bound, keep everything that never mentioned it.
+    upper bound, keep everything that never mentioned it, and drop the
+    redundant rows of the result.
 
     With assume_nonneg the variable's implicit zero lower bound joins the
     combination step, so explicit -x <= 0 rows are never required.
@@ -587,10 +588,9 @@ def fm_eliminate(
             combos.append(
                 LinearIneq.of(coeffs, _div(lo.rhs, al) + _div(up.rhs, au), tol=tol)
             )
-    result = keep + combos
-    if simplify:
-        result = simplify_inequalities(result, assume_nonneg=assume_nonneg, tol=tol)
-    return Polyhedron.of(result)
+    return Polyhedron.of(
+        simplify_inequalities(keep + combos, assume_nonneg=assume_nonneg, tol=tol)
+    )
 
 
 def build_flow_polyhedron(model: ErasureModel, catalog: ControlCatalog):

@@ -77,9 +77,6 @@ class TransitionTable:
     def edges(self, spec: ControlSpec) -> dict:
         return self.entries[spec]
 
-    def nodes(self, spec: ControlSpec):
-        return list(self.entries[spec])
-
     def validate(self) -> None:
         for spec, per_node in self.entries.items():
             for node, targets in per_node.items():

@@ -5,7 +5,8 @@ identical per-slot metrics from the same seed:
 
 * ``object`` — full packet/token/basis state with every invariant monitor
   available.  The reference engine: lengths, backlogs and packet sizes are
-  read from that state, never from the compiled tables.
+  read from that state, never from the compiled tables.  It owns every
+  state audit, including the deep audit on entry to a transmission.
 * ``counts`` — integer queue-occupancy vectors plus per-packet constituent
   counts.  Queue dynamics depend only on (control, reception set), which is
   precompiled into delta tables, so long stability runs stay cheap.  State
@@ -13,8 +14,9 @@ identical per-slot metrics from the same seed:
   check instead.
 
 Compiling a catalog runs the movement rules once per (control, reception
-set) to build the delta tables; the max-weight rows are folded from those
-tables and the reception pmf.
+set) to build the delta tables: one route (source, target or None) per
+popped head.  The counts backend and the max-weight rows, folded with the
+reception pmf, both read those routes.
 """
 
 from __future__ import annotations
@@ -113,11 +115,8 @@ class RunResult:
 @dataclass
 class _Delta:
     case: str
-    retransmit: bool
-    pops: tuple  # queue ids whose head leaves
-    moves: tuple  # (src, dst) pairs: popped head re-enqueued
-    merge_sources: tuple  # popped heads combined into one fresh packet
-    merge_target: Optional[int]
+    routes: tuple  # (src, dst | None) per popped head, in pop order
+    merged: bool  # the popped heads form one fresh packet at their common dst
     deliveries: tuple  # (user, count)
 
 
@@ -147,7 +146,7 @@ _DELTA_CACHE: dict = {}
 def _queue_space(n_users: int):
     space = _SPACE_CACHE.get(n_users)
     if space is None:
-        queues = tuple(sorted(_cc_pairs(n_users), key=lambda q: q.sort_key()))
+        queues = tuple(_cc_pairs(n_users))
         qidx = {qi: k for k, qi in enumerate(queues)}
         weights = tuple(len(qi.destinations) for qi in queues)
         levels = tuple(qi.level for qi in queues)
@@ -177,27 +176,20 @@ def _compile_deltas(catalog: ControlCatalog):
             plan = apply_rpm(
                 state, spec, None, ReceptionOutcome(UserSet(s_mask))
             )
-            pops, moves, merge_sources = [], [], []
-            merge_target = None
-            for pid, frm, to in plan.real_moves:
-                if frm is not None:
-                    pops.append(qidx[frm])
-                    if to is not None:
-                        moves.append((qidx[frm], qidx[to]))
-                    elif plan.merged is not None:
-                        merge_sources.append(qidx[frm])
-                elif to is not None:  # freshly minted merge result
-                    merge_target = qidx[to]
+            merged_at = plan.merged[1] if plan.merged else None
             counts = {}
             for user, _native in plan.decoded:
                 counts[user] = counts.get(user, 0) + 1
             per_s[s_mask] = _Delta(
                 case=plan.case.value,
-                retransmit=plan.case is RpmCase.RETRANSMIT,
-                pops=tuple(pops),
-                moves=tuple(moves),
-                merge_sources=tuple(merge_sources),
-                merge_target=merge_target,
+                # skip the minted composite's own entry; a delivered head's
+                # target is None, which qidx.get keeps
+                routes=tuple(
+                    (qidx[frm], qidx.get(merged_at or to))
+                    for _pid, frm, to in plan.real_moves
+                    if frm is not None
+                ),
+                merged=merged_at is not None,
                 deliveries=tuple(sorted(counts.items())),
             )
         out.append(per_s)
@@ -208,25 +200,21 @@ def _compile_deltas(catalog: ControlCatalog):
 def _fold_terms(queues, cc: _CompiledControl, pmf: list) -> tuple:
     """Max-weight rows of one control, folded from its delta table.
 
-    Node (q, i) is the token of user i in the head of queue q.  A popped
-    head's token lands at (dst, i) when i is a destination of the queue the
-    head (or the composite it merged into) went to, and is delivered
-    otherwise; a token whose queue was not popped stays put.  Probabilities
-    are summed in the order of the reception pmf's entries, as
+    Node (q, i) is the token of user i in the head of queue q.  A routed
+    head's token lands at (dst, i) when i is a destination of dst, and is
+    delivered otherwise; a token whose queue was not popped stays put.
+    Probabilities are summed in the order of the reception pmf's entries, as
     ``scheduler.derive_transitions`` does, so the rows equal its table with
     deliveries dropped, also for floats.
     """
     nodes = [(q, i) for q in cc.queue_ids for i in queues[q].destinations]
     buckets = [{} for _ in nodes]
     for s, p in pmf:
-        delta = cc.deltas[s.mask]
-        went = dict(delta.moves)
-        for q in delta.merge_sources:
-            went[q] = delta.merge_target
+        went = dict(cc.deltas[s.mask].routes)
         for (q, i), bucket in zip(nodes, buckets):
             target = q
-            if q in delta.pops:
-                dst = went.get(q)
+            if q in went:
+                dst = went[q]
                 delivered = dst is None or i not in queues[dst].destinations
                 target = None if delivered else dst
             bucket[target] = bucket.get(target, 0) + p
@@ -297,6 +285,11 @@ def _stored_cap(level: int) -> int:
     return 1 if level <= 1 else factorial(level - 1)
 
 
+def _due(every: int, t: int) -> bool:
+    """Whether a cadence of every k slots (0: never) falls on slot t."""
+    return bool(every) and t % every == 0
+
+
 class _ObjectQueues:
     """Reference backend: the full packet/token/basis state, audited.
 
@@ -306,17 +299,18 @@ class _ObjectQueues:
 
     def __init__(self, config: SimConfig, compiled: _Compiled):
         self.config = config
-        self.queues = compiled.queues
+        self.n_queues = len(compiled.queues)
+        self.qidx = _queue_space(config.n_users)[1]
         self.state = NetworkState(config.n_users)
 
     def scan(self):
         """Queue lengths in queue-id order and the mask of non-empty ids."""
-        real = self.state.real_queues
-        lengths = [len(real.get(qi, ())) for qi in self.queues]
+        lengths = [0] * self.n_queues
         nonzero = 0
-        for k, ln in enumerate(lengths):
-            if ln:
-                nonzero |= 1 << k
+        for qi, packets in self.state.real_queues.items():
+            k = self.qidx[qi]
+            lengths[k] = len(packets)
+            nonzero |= 1 << k
         return lengths, nonzero
 
     def head_size(self, cc: _CompiledControl) -> int:
@@ -328,14 +322,14 @@ class _ObjectQueues:
         return len(composite)
 
     def transmit(self, cc: _CompiledControl, s: UserSet, t: int):
-        """Move the heads for reception set s.  Returns the case label, the
-        retransmit flag, (user, count) deliveries and the (level, size) of
-        every packet stored this slot (sizes only when the overhead monitor
-        is on)."""
+        """Move the heads for reception set s.  Returns the case label,
+        (user, count) deliveries and the (level, size) of every packet
+        stored this slot (sizes only when the overhead monitor is on)."""
         config = self.config
         state = self.state
-        deep = bool(config.deep_audit_every and t % config.deep_audit_every == 0)
-        plan = apply_rpm(state, cc.spec, None, ReceptionOutcome(s), audit_entry=deep)
+        if _due(config.deep_audit_every, t):
+            self._check(t, deep=True)
+        plan = apply_rpm(state, cc.spec, None, ReceptionOutcome(s))
         if config.decode_monitor:
             for user, native in plan.decoded:
                 if native.owner != user or native not in state.decoded[user]:
@@ -349,7 +343,7 @@ class _ObjectQueues:
                     packet = next(p for p in state.queue(to) if p.pid == pid)
                     stored.append((to.level, len(packet.constituents)))
         deliveries = [(user, 1) for user, _native in plan.decoded]
-        return plan.case.value, plan.case is RpmCase.RETRANSMIT, deliveries, stored
+        return plan.case.value, deliveries, stored
 
     def arrive(self, user: int, count: int) -> None:
         for _ in range(count):
@@ -361,13 +355,15 @@ class _ObjectQueues:
             basis.clear()
 
     def audit(self, t: int) -> None:
-        config = self.config
-        cadences = ((config.audit_every, False), (config.deep_audit_every, True))
-        for every, deep in cadences:
-            if every and t % every == 0:
-                problems = audit_state(self.state, deep=deep)
-                if problems:
-                    raise MonitorViolation(problems, slot=t)
+        # the deep audit runs every shallow check too
+        deep = _due(self.config.deep_audit_every, t)
+        if deep or _due(self.config.audit_every, t):
+            self._check(t, deep)
+
+    def _check(self, t: int, deep: bool) -> None:
+        problems = audit_state(self.state, deep=deep)
+        if problems:
+            raise MonitorViolation(problems, slot=t)
 
     def totals(self):
         return self.state.q_hat(), self.state.v_hat()
@@ -398,22 +394,26 @@ class _CountQueues:
 
     def transmit(self, cc: _CompiledControl, s: UserSet, t: int):
         delta = cc.deltas[s.mask]
-        popped = {}
-        for q in delta.pops:
-            popped[q] = self.sizes[q].popleft()
+        popped = []
+        for q, _dst in delta.routes:
+            popped.append(self.sizes[q].popleft())
             self.lengths[q] -= 1
             self.q_hat -= 1
             self.v_hat -= self.weights[q]
             if not self.lengths[q]:
                 self.nonzero &= ~(1 << q)
-        pushes = [(dst, popped[src]) for src, dst in delta.moves]
-        if delta.merge_target is not None:
-            merged = sum(popped[q] for q in delta.merge_sources)
-            pushes.append((delta.merge_target, merged))
+        if delta.merged:
+            pushes = [(delta.routes[0][1], sum(popped))]
+        else:
+            pushes = [
+                (dst, size)
+                for (_q, dst), size in zip(delta.routes, popped)
+                if dst is not None
+            ]
         for q, size in pushes:
             self._push(q, size)
         stored = [(self.levels[q], size) for q, size in pushes]
-        return delta.case, delta.retransmit, delta.deliveries, stored
+        return delta.case, delta.deliveries, stored
 
     def _push(self, q: int, size: int) -> None:
         self.sizes[q].append(size)
@@ -495,9 +495,9 @@ def run(config: SimConfig, *, windows=()) -> RunResult:
                     slot=t,
                 )
             s = sample_reception(config.erasure, chan)
-            case, retransmit, deliveries, stored = queues.transmit(cc, s, t)
+            case, deliveries, stored = queues.transmit(cc, s, t)
             transmitted_since_flush = True
-            pending = cidx if retransmit else None
+            pending = cidx if case == RpmCase.RETRANSMIT.value else None
             for user, count in deliveries:
                 delivered[user] += count
             if config.overhead_monitor:

@@ -126,6 +126,27 @@ class TestSampling:
         assert [r1.random() for _ in range(5)] != [r2.random() for _ in range(5)]
 
 
+class _TopDraw:
+    """An rng whose every draw is the largest double below 1, a value
+    ``random()`` can return and which a float cumulative sum of 0.7, 0.2
+    and 0.1 does not exceed."""
+
+    def random(self):
+        return 0.9999999999999999
+
+
+class TestZeroMassOutcomes:
+    def test_erasure_draw_above_rounded_total(self):
+        pmf = {(0,): 0.7, (1,): 0.2, (2,): 0.1, (0, 1, 2): 0}
+        m = ErasureModel.joint(3, pmf)
+        assert sample_reception(m, _TopDraw()) == U(2)
+
+    def test_arrival_draw_above_rounded_total(self):
+        pmf = {(0, 0): 0.7, (1, 0): 0.2, (0, 1): 0.1, (2, 2): 0}
+        m = ArrivalModel.joint(2, pmf)
+        assert sample_arrivals(m, _TopDraw()) == (0, 1)
+
+
 class TestArrivals:
     def test_bernoulli_rates(self):
         m = ArrivalModel.bernoulli([0.2, 0.7])

@@ -236,6 +236,9 @@ class TestExitCodes:
             ("regions", {}, ["--rays", "0", "--format", "csv"]),
             ("regions", {}, ["--iid-eps", "1"]),
             ("simulate", {"flush_on_empty": "false"}, []),
+            ("regions", {}, ["--n", "17"]),
+            ("probe", {"ray": [1] * 17}, ["--n", "17"]),
+            ("regions", {}, ["--n", "0"]),
         ],
         ids=[
             "joint-key-not-a-number",
@@ -252,6 +255,9 @@ class TestExitCodes:
             "no-rays-csv",
             "erasure-probability-one",
             "boolean-as-string",
+            "regions-17-users",
+            "probe-17-users",
+            "regions-no-users",
         ],
     )
     def test_malformed_field_maps_to_one(self, tmp_path, capsys, command, doc, extra):

@@ -16,11 +16,12 @@ from hypothesis import strategies as st
 
 from becsim.channel import ArrivalModel, ErasureModel
 from becsim.coding import enumerate_controls
-from becsim.core import ConfigError, MonitorViolation
+from becsim.core import ConfigError, MonitorViolation, QueueIndex, UserSet
 from becsim.movement import synthesize_state
 from becsim.scheduler import DELIVERED, TransitionTable, select_control
 from becsim.sim import (
     SimConfig,
+    _ObjectQueues,
     _queue_space,
     _select,
     compile_catalog,
@@ -432,6 +433,20 @@ class TestMonitorWiring:
             )
         )
         assert res.max_stored_by_level == {}
+
+    def test_entry_deep_audit_reports_slot(self):
+        config = make_config(n=2, deep_audit_every=5, seed="entry")
+        compiled = compile_catalog(config)
+        queues = _ObjectQueues(config, compiled)
+        queues.arrive(0, 1)
+        root = QueueIndex(UserSet(), UserSet.of(0))
+        (packet,) = queues.state.queue(root)
+        # user 0 already knows its pending native: only the deep audit sees it
+        queues.state.bases[0].insert(packet.constituents)
+        cc = next(c for c in compiled.controls if c.spec.sorted_pairs == (root,))
+        with pytest.raises(MonitorViolation) as err:
+            queues.transmit(cc, UserSet(), 10)
+        assert err.value.slot == 10
 
 
 class TestStabilityProbe:
