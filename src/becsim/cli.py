@@ -7,7 +7,10 @@ reads one merged document.  Its fields go through one set of readers:
 numbers, in configs and flags alike, are parsed as exact rationals ("1/2"
 and "0.5" both work), which keeps emitted tables byte-stable across runs
 and platforms; booleans must be JSON booleans; a field of the wrong JSON
-type is a config error.
+type is a config error.  The run fields are ``SimConfig``'s own: their
+names, defaults and readers come from the dataclass, and ``_config_doc``
+writes all of them back for a JSON trace.  ``derive-table`` reads the
+channel (``iid_eps`` or an ``erasure`` section) as ``simulate`` does.
 
 Exit codes: 0 success, 1 configuration/usage error, 2 monitor violation
 or replay divergence.
@@ -17,11 +20,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import get_type_hints
 
 from .channel import ArrivalModel, ErasureModel, make_rng
 from .coding import FULL, TABLE8, enumerate_controls
@@ -72,6 +77,10 @@ def _boolean(doc: dict, key: str, default: bool) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{key} must be true or false, not {value!r}")
     return value
+
+
+# the reader of a SimConfig field by its annotation; others read as given
+_READERS = {int: _integer, bool: _boolean}
 
 
 def _section(doc: dict, key: str, default=None) -> dict:
@@ -133,57 +142,41 @@ def _arrivals_from_doc(doc: dict) -> ArrivalModel:
 
 
 def _sim_config(doc: dict) -> SimConfig:
+    """A run config; fields other than the four below read as annotated,
+    with SimConfig's own defaults."""
     n = _integer(doc, "n_users", 2)
-    config = SimConfig(
-        n_users=n,
-        horizon=_integer(doc, "horizon", 10_000),
-        erasure=_erasure_from_doc(doc, n),
-        arrivals=_arrivals_from_doc(doc),
-        restriction=doc.get("restriction", FULL),
-        seed=doc.get("seed", 0),
-        engine=doc.get("engine", "object"),
-        policy=doc.get("policy", "maxweight"),
-        retransmit_mode=doc.get("retransmit_mode", "sticky"),
-        flush_on_empty=_boolean(doc, "flush_on_empty", True),
-        audit_every=_integer(doc, "audit_every", 1),
-        deep_audit_every=_integer(doc, "deep_audit_every", 1000),
-        decode_monitor=_boolean(doc, "decode_monitor", True),
-        overhead_monitor=_boolean(doc, "overhead_monitor", True),
-        decimate=_integer(doc, "decimate", 1),
-    )
+    values = {
+        "n_users": n,
+        "horizon": _integer(doc, "horizon", 10_000),
+        "erasure": _erasure_from_doc(doc, n),
+        "arrivals": _arrivals_from_doc(doc),
+    }
+    hints = get_type_hints(SimConfig)
+    for f in dataclasses.fields(SimConfig):
+        if f.name not in values:
+            read = _READERS.get(hints[f.name], dict.get)
+            values[f.name] = read(doc, f.name, f.default)
+    config = SimConfig(**values)
     config.validate()
     return config
 
 
 def _config_doc(config: SimConfig) -> dict:
     """Canonical JSON form of a sim config; embedded in JSON traces."""
+    doc = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
     model = config.erasure
     if model.eps is not None:
-        erasure = {"iid": [str(e) for e in model.eps]}
+        doc["erasure"] = {"iid": [str(e) for e in model.eps]}
     else:
-        erasure = {
+        doc["erasure"] = {
             "joint": {
                 ",".join(str(u) for u in s): str(p) for s, p in model.pmf()
             }
         }
-    seed = config.seed if isinstance(config.seed, int) else str(config.seed)
-    return {
-        "n_users": config.n_users,
-        "horizon": config.horizon,
-        "seed": seed,
-        "erasure": erasure,
-        "arrivals": {"bernoulli": [str(r) for r in config.arrivals.rates]},
-        "restriction": config.restriction,
-        "engine": config.engine,
-        "policy": config.policy,
-        "retransmit_mode": config.retransmit_mode,
-        "flush_on_empty": config.flush_on_empty,
-        "audit_every": config.audit_every,
-        "deep_audit_every": config.deep_audit_every,
-        "decode_monitor": config.decode_monitor,
-        "overhead_monitor": config.overhead_monitor,
-        "decimate": config.decimate,
-    }
+    doc["arrivals"] = {"bernoulli": [str(r) for r in config.arrivals.rates]}
+    if not isinstance(config.seed, int):
+        doc["seed"] = str(config.seed)
+    return doc
 
 
 # --- writers ----------------------------------------------------------------
@@ -256,7 +249,6 @@ def _cmd_probe(args) -> int:
         raise ConfigError("probe needs a 'ray' (or --lambda)")
     ray = tuple(float(f) for f in _fraction_list(doc, key))
     scales = _fraction_list(doc, "scales", ("0.9", "1.1"))
-    doc.setdefault("horizon", 1)
     doc.setdefault("lambda", ["0"] * _integer(doc, "n_users", 2))
     reports = stability_probe(
         _sim_config(doc),
@@ -350,7 +342,7 @@ def _cmd_regions(args) -> int:
 def _cmd_derive_table(args) -> int:
     doc = _document(args)
     n = _integer(doc, "n_users", 2)
-    model = ErasureModel.iid(n, _fraction(doc.get("iid_eps", "1/2"), "iid_eps"))
+    model = _erasure_from_doc(doc, n)
     catalog = enumerate_controls(n, doc.get("restriction", FULL))
     table = TransitionTable.for_catalog(catalog, model)
     path = Path(args.out) / f"transitions_n{n}.json"

@@ -146,9 +146,6 @@ class ControlCatalog:
     def __getitem__(self, i: int) -> ControlSpec:
         return self.controls[i]
 
-    def index(self, spec: ControlSpec) -> int:
-        return self.controls.index(spec)
-
     def to_json(self) -> str:
         obj = [
             [

@@ -58,8 +58,8 @@ def _prefix_denominators(model: ErasureModel, perm):
 
 
 def _best_order(rates: RateVector, model: ErasureModel, penalty=None):
-    """Largest weighted rate sum over service orders, less penalty(perm)
-    when given, with its argmax."""
+    """Largest weighted rate sum over service orders, less penalty(denoms)
+    of the order's prefix denominators when given, with its argmax."""
     best = best_perm = None
     for perm in permutations(range(model.n_users)):
         denoms = _prefix_denominators(model, perm)
@@ -67,7 +67,7 @@ def _best_order(rates: RateVector, model: ErasureModel, penalty=None):
         for u, denom in zip(perm, denoms):
             total = total + rates[u] / denom
         if penalty is not None:
-            total -= penalty(perm)
+            total -= penalty(denoms)
         if best is None or total > best:
             best, best_perm = total, perm
     return best, best_perm
@@ -90,7 +90,11 @@ def exponential_penalty(model: ErasureModel, perm, bits) -> Decimal:
     Returned as a Decimal: for realistic packet lengths the value sits far
     below the smallest positive double, yet must stay positive and ordered.
     """
-    a = sum(1 / d for d in _prefix_denominators(model, perm))
+    return _penalty(_prefix_denominators(model, perm), bits)
+
+
+def _penalty(denoms, bits) -> Decimal:
+    a = sum(1 / d for d in denoms)
     with localcontext() as ctx:
         ctx.prec = 40
         if isinstance(a, Fraction):
@@ -107,9 +111,7 @@ def capacity_bound_argmax(rates: RateVector, model: ErasureModel, bits):
     _validate_rates(rates, model.n_users)
     if bits <= 0:
         raise ConfigError("packet length must be positive")
-    return _best_order(
-        rates, model, lambda perm: float(exponential_penalty(model, perm, bits))
-    )
+    return _best_order(rates, model, lambda d: float(_penalty(d, bits)))
 
 
 def capacity_bound_margin(rates: RateVector, model: ErasureModel, bits):
@@ -346,22 +348,29 @@ def build_phi_4user(
 # --- generic flow-balance feasibility ---------------------------------------
 
 
-def _node_flow_coefficients(edges) -> dict:
-    """Per node: probability mass flowing in from other nodes and out."""
-    coeffs: dict = {}
-    for node, targets in edges.items():
-        for target, p in targets.items():
-            if target == node:
-                continue
-            coeffs.setdefault(node, [0, 0])[1] += p
-            if target != DELIVERED:
-                coeffs.setdefault(target, [0, 0])[0] += p
-    return coeffs
-
-
-def _is_root(node, user) -> bool:
-    qi, i = node
-    return i == user and qi.listeners == EMPTY and qi.destinations == UserSet.of(user)
+def _flow_balance(edges_of: Mapping, n_users: int) -> list:
+    """The flow-balance rows in node order, every user's root queue
+    included: (node, the user whose arrivals enter there or None, each
+    control's net inflow there, i.e. inflow from other nodes less outflow).
+    edges_of maps each control to its transition edges."""
+    flows: dict = {}
+    for spec, edges in edges_of.items():
+        for node, targets in edges.items():
+            for target, p in targets.items():
+                if target == node:
+                    continue
+                flows.setdefault(node, {}).setdefault(spec, [0, 0])[1] += p
+                if target != DELIVERED:
+                    flows.setdefault(target, {}).setdefault(spec, [0, 0])[0] += p
+    for i in range(n_users):
+        flows.setdefault((QueueIndex(EMPTY, UserSet.of(i)), i), {})
+    rows = []
+    for node in sorted(flows, key=lambda n: (n[0].sort_key(), n[1])):
+        qi, i = node
+        root = qi.listeners == EMPTY and qi.destinations == UserSet.of(i)
+        net = {spec: fin - fout for spec, (fin, fout) in flows[node].items()}
+        rows.append((node, i if root else None, net))
+    return rows
 
 
 def feasibility_check(
@@ -378,29 +387,18 @@ def feasibility_check(
     _validate_rates(rates, model.n_users)
     known = set(catalog.controls)
     unknown = [spec for spec in certificate.phi if spec not in known]
-    flows: dict = {}
-    for spec, share in certificate.phi.items():
-        if not share:
-            continue
-        edges = (
-            transitions[spec]
-            if transitions is not None
-            else derive_transitions(spec, model)
-        )
-        for node, (fin, fout) in _node_flow_coefficients(edges).items():
-            acc = flows.setdefault(node, [0, 0])
-            acc[0] += share * fin
-            acc[1] += share * fout
-    for i in range(model.n_users):
-        root = (QueueIndex(EMPTY, UserSet.of(i)), i)
-        flows.setdefault(root, [0, 0])
-
+    shares = {spec: share for spec, share in certificate.phi.items() if share}
+    edges_of = {
+        spec: derive_transitions(spec, model)
+        if transitions is None
+        else transitions[spec]
+        for spec in shares
+    }
     violations = []
     worst_node, worst_slack = None, None
-    for node in sorted(flows, key=lambda n: (n[0].sort_key(), n[1])):
-        fin, fout = flows[node]
-        lam_bar = rates[node[1]] if _is_root(node, node[1]) else 0
-        slack = fout - fin - lam_bar
+    for node, root, net in _flow_balance(edges_of, model.n_users):
+        net_inflow = sum(shares[spec] * c for spec, c in net.items())
+        slack = -net_inflow - (0 if root is None else rates[root])
         if worst_slack is None or slack < worst_slack:
             worst_node, worst_slack = node, slack
         if slack < -tol:
@@ -600,16 +598,12 @@ def build_flow_polyhedron(model: ErasureModel, catalog: ControlCatalog):
     per user named lam<i>.  Suitable for projection onto the rates.
     """
     var_of = {spec: f"phi{idx}" for idx, spec in enumerate(catalog)}
-    per_node: dict = {}
-    for spec in catalog:
-        edges = derive_transitions(spec, model)
-        for node, (fin, fout) in _node_flow_coefficients(edges).items():
-            per_node.setdefault(node, {})[var_of[spec]] = fin - fout
     ineqs = []
-    for node in sorted(per_node, key=lambda n: (n[0].sort_key(), n[1])):
-        coeffs = dict(per_node[node])
-        if _is_root(node, node[1]):
-            coeffs[f"lam{node[1]}"] = 1
+    edges_of = {spec: derive_transitions(spec, model) for spec in catalog}
+    for _, root, net in _flow_balance(edges_of, model.n_users):
+        coeffs = {var_of[spec]: c for spec, c in net.items()}
+        if root is not None:
+            coeffs[f"lam{root}"] = 1
         ineqs.append(LinearIneq.of(coeffs, 0))
     ineqs.append(LinearIneq.of({v: 1 for v in var_of.values()}, 1))
     for v in var_of.values():

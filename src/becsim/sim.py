@@ -605,9 +605,9 @@ def stability_probe(
     if margin <= 0:
         raise ConfigError("ray has zero margin; nothing to scale")
     base = tuple(r / margin for r in ray)
+    scaled = [tuple(float(scale * b) for b in base) for scale in scales]
     tasks = []
-    for scale in scales:
-        rates = tuple(float(scale * b) for b in base)
+    for scale, rates in zip(scales, scaled):
         if any(r > 1 for r in rates):
             raise ConfigError(f"scaled rate above 1 at scale {scale}")
         for k in range(seeds):
@@ -649,7 +649,7 @@ def stability_probe(
         reports.append(
             {
                 "scale": scale,
-                "rates": tuple(float(scale * b) for b in base),
+                "rates": scaled[si],
                 "slopes": slopes,
                 "max_q": max(m for _, _, m in chunk),
                 "verdicts": verdicts,

@@ -5,18 +5,23 @@ main() is called in-process with explicit argv so the tests stay fast;
 outputs land in tmp_path.
 """
 
+import dataclasses
 import json
 import os
 import pathlib
 import tempfile
+from fractions import Fraction as F
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from becsim.cli import main
+from becsim.channel import ArrivalModel, ErasureModel
+from becsim.cli import _config_doc, _sim_config, main
+from becsim.coding import TABLE8
 from becsim.core import MonitorViolation
+from becsim.sim import SimConfig
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -118,6 +123,32 @@ class TestReplay:
         assert main(simulate_args(tmp_path, fmt="csv")) == 0
         assert main(["rpm-replay", str(tmp_path / "trace.csv")]) == 1
 
+    def test_every_run_field_survives_the_trace(self):
+        config = SimConfig(
+            n_users=4,
+            horizon=50,
+            erasure=ErasureModel.joint(
+                4, {(): F(1, 2), (1,): F(1, 4), (0, 1, 2, 3): F(1, 4)}
+            ),
+            arrivals=ArrivalModel.bernoulli((F(1, 5), F(1, 7), 0, F(1, 9))),
+            restriction=TABLE8,
+            seed="every-field",
+            engine="counts",
+            policy="random",
+            retransmit_mode="reselect",
+            flush_on_empty=False,
+            audit_every=3,
+            deep_audit_every=7,
+            decode_monitor=False,
+            overhead_monitor=False,
+            decimate=5,
+        )
+        for field in dataclasses.fields(SimConfig):
+            if field.default is not dataclasses.MISSING:
+                assert getattr(config, field.name) != field.default, field.name
+        doc = _config_doc(config)
+        assert _config_doc(_sim_config(json.loads(json.dumps(doc)))) == doc
+
 
 class TestDeriveTable:
     def test_two_user_table_matches_golden(self, tmp_path):
@@ -125,6 +156,20 @@ class TestDeriveTable:
         got = (tmp_path / "transitions_n2.json").read_bytes()
         want = (GOLDEN / "transitions_n2_iid_half.json").read_bytes()
         assert got == want
+
+    def test_config_erasure_section_is_read(self, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"erasure": {"iid": "1/3"}}))
+        runs = {
+            "flag": ["--iid-eps", "1/3"],
+            "config": ["--config", str(config)],
+        }
+        for name, extra in runs.items():
+            out = tmp_path / name
+            assert main(["derive-table", "--n", "2", "--out", str(out), *extra]) == 0
+        flag = (tmp_path / "flag" / "transitions_n2.json").read_bytes()
+        assert (tmp_path / "config" / "transitions_n2.json").read_bytes() == flag
+        assert flag != (GOLDEN / "transitions_n2_iid_half.json").read_bytes()
 
 
 class TestRegions:

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from becsim import regions
 from becsim.channel import ErasureModel, epsilon_g
 from becsim.coding import ControlSpec, enumerate_controls
 from becsim.core import EMPTY, ConfigError, QueueIndex, UserSet
@@ -134,6 +135,18 @@ class TestCapacityBound:
     def test_bad_packet_length(self):
         with pytest.raises(ConfigError):
             capacity_bound_argmax((0.1,), ErasureModel.iid(1, 0.5), 0)
+
+    def test_prefix_denominators_once_per_order(self, monkeypatch):
+        calls = []
+        real = regions._prefix_denominators
+
+        def counted(model, perm):
+            calls.append(perm)
+            return real(model, perm)
+
+        monkeypatch.setattr(regions, "_prefix_denominators", counted)
+        capacity_bound_argmax((F(1, 10),) * 4, iid4(F(1, 3)), 64)
+        assert len(calls) == 24
 
 
 LAM4 = (F(23, 100), F(18, 100), F(12, 100), F(8, 100))
@@ -337,6 +350,36 @@ class TestFeasibilityCheck:
         assert not report["feasible"]
         assert report["phi_total"] == F(6, 5)
         assert not report["violations"]
+
+
+class TestFlowChecksAgree:
+    """feasibility_check and build_flow_polyhedron read one flow balance:
+    the polyhedron holds a certificate's point exactly when the check
+    accepts it."""
+
+    @staticmethod
+    def agree(rates, cert, model, catalog):
+        report = feasibility_check(rates, cert, model, catalog, tol=0)
+        poly, var_of = build_flow_polyhedron(model, catalog)
+        point = {var_of[spec]: share for spec, share in cert.phi.items()}
+        point.update((f"lam{i}", r) for i, r in enumerate(rates))
+        assert poly.contains(point, tol=0) == report["feasible"]
+        return report["feasible"]
+
+    @pytest.mark.parametrize(
+        "rates, feasible",
+        [((F(3, 10), F(3, 10)), True), ((F(31, 100), F(3, 10)), False)],
+        ids=["boundary", "beyond"],
+    )
+    def test_two_user_certificate(self, rates, feasible):
+        cert = TestFeasibilityCheck().two_user_certificate()
+        model = ErasureModel.iid(2, F(1, 2))
+        assert self.agree(rates, cert, model, enumerate_controls(2)) == feasible
+
+    def test_four_user_table8_certificate(self):
+        cert = build_phi_4user(LAM4, F(1, 2))
+        catalog = enumerate_controls(4, restriction="table8")
+        assert self.agree(LAM4, cert, iid4(F(1, 2)), catalog)
 
 
 def ineq(coeffs, rhs):
