@@ -2,13 +2,18 @@
 
 Erasures are independent across time but may be arbitrarily correlated
 across users (joint mode).  All probability queries accept exact rationals
-and preserve them; sampling converts to float once.
+and preserve them; sampling converts to float once.  An exact iid erasure
+probability or Bernoulli arrival rate is sampled through a float threshold
+that splits the draws of ``random()`` exactly where the probability does,
+so every draw keeps its outcome.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from fractions import Fraction
+from math import ceil
 from typing import Iterator, Mapping, Sequence
 
 from .core import EMPTY, ConfigError, UserSet, check_n_users
@@ -37,6 +42,15 @@ def _sampling_table(entries) -> tuple:
     return outcomes, bounds
 
 
+def _threshold(eps) -> float:
+    """The float t with u >= t exactly when u >= eps (so u < t exactly
+    when u < eps), for every u = k/2**53 that ``random()`` returns; a float
+    eps is its own threshold."""
+    if isinstance(eps, float):
+        return eps
+    return ceil(Fraction(eps) * 2**53) / 2**53
+
+
 def _draw(table, rng: random.Random):
     """The first outcome whose bound exceeds a uniform draw; a draw at or
     above the rounded total takes the last positive-mass outcome."""
@@ -50,6 +64,7 @@ class ErasureModel:
     def __init__(self, n_users: int, eps: Sequence | None, pmf: dict | None):
         self.n_users = n_users
         self.eps = None if eps is None else tuple(eps)
+        self._thresholds = None if eps is None else tuple(map(_threshold, eps))
         self._pmf = pmf
         self._table = None if pmf is None else _sampling_table(self.pmf())
 
@@ -119,10 +134,10 @@ class ErasureModel:
         return total
 
     def sample(self, rng: random.Random) -> UserSet:
-        if self.eps is not None:
+        if self._thresholds is not None:
             mask = 0
-            for i in range(self.n_users):
-                if rng.random() >= self.eps[i]:
+            for i, threshold in enumerate(self._thresholds):
+                if rng.random() >= threshold:
                     mask |= 1 << i
             return UserSet(mask)
         return _draw(self._table, rng)
@@ -135,6 +150,7 @@ class ArrivalModel:
         self.n_users = n_users
         self.rates = rates
         self._table = table  # None: independent Bernoulli arrivals
+        self._thresholds = tuple(map(_threshold, rates)) if table is None else None
 
     @classmethod
     def bernoulli(cls, rates: Sequence) -> "ArrivalModel":
@@ -169,7 +185,7 @@ class ArrivalModel:
     def sample(self, rng: random.Random) -> tuple[int, ...]:
         if self._table is None:
             return tuple(
-                1 if rng.random() < r else 0 for r in self.rates
+                1 if rng.random() < t else 0 for t in self._thresholds
             )
         return _draw(self._table, rng)
 

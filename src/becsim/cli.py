@@ -10,7 +10,9 @@ and platforms; booleans must be JSON booleans; a field of the wrong JSON
 type is a config error.  The run fields are ``SimConfig``'s own: their
 names, defaults and readers come from the dataclass, and ``_config_doc``
 writes all of them back for a JSON trace.  ``derive-table`` reads the
-channel (``iid_eps`` or an ``erasure`` section) as ``simulate`` does.
+channel (``iid_eps`` or an ``erasure`` section) as ``simulate`` does;
+``regions`` reads it the same way when no ``eps_grid`` is given, as a
+one-point grid of a single iid level.
 
 Exit codes: 0 success, 1 configuration/usage error, 2 monitor violation
 or replay divergence.
@@ -292,6 +294,13 @@ def _cmd_regions(args) -> int:
     n = _integer(doc, "n_users", 4)
     if "iid_eps" in doc:
         eps_grid = (_fraction(doc["iid_eps"], "iid_eps"),)
+    elif "erasure" in doc and "eps_grid" not in doc:
+        model = _erasure_from_doc(doc, n)
+        if model.eps is None or isinstance(doc["erasure"].get("iid"), list):
+            raise ConfigError(
+                "regions sweeps iid erasure levels: give one 'iid' value"
+            )
+        eps_grid = model.eps[:1]
     else:
         eps_grid = _fraction_list(doc, "eps_grid", ("1/4", "1/2", "3/4"))
     count = _integer(doc, "rays", 5)

@@ -16,16 +16,24 @@ identical per-slot metrics from the same seed:
 Compiling a catalog runs the movement rules once per (control, reception
 set) to build the delta tables: one route (source, target or None) per
 popped head.  The counts backend and the max-weight rows, folded with the
-reception pmf, both read those routes.
+reception pmf, both read those routes.  For an exact pmf (no float entry)
+selection compares the rows scaled to integers by the pmf's least common
+denominator, so drift ties are exact and cheap; a float pmf keeps float
+arithmetic, so its traces, and the float/rational tie difference, are those
+of the unscaled rows.  A process keeps its last compiled catalog and hands
+it to the next run with the same inputs.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from math import factorial
+from fractions import Fraction
+from math import factorial, lcm
+from numbers import Rational
 from typing import Optional
 
 from .channel import ArrivalModel, ErasureModel, make_rng, sample_arrivals, sample_reception
@@ -127,6 +135,7 @@ class _CompiledControl:
     required_mask: int
     exit_level: int
     node_terms: tuple = ()  # ((src_q, ((tgt_q, p), ...)), ...)
+    scaled_terms: tuple = ()  # node_terms with every p times _Compiled.scale
     deltas: Optional[dict] = None  # s_mask -> _Delta
 
 
@@ -137,6 +146,7 @@ class _Compiled:
     levels: tuple
     roots: tuple  # queue id of Q^{}_{i} per user
     controls: list
+    scale: int  # common denominator of an exact pmf; 1 for floats
 
 
 _SPACE_CACHE: dict = {}
@@ -224,7 +234,43 @@ def _fold_terms(queues, cc: _CompiledControl, pmf: list) -> tuple:
     )
 
 
+def _scale_terms(controls, pmf) -> int:
+    """Give each control its rows times the pmf's least common denominator
+    D, all ints, and return D; a pmf with a float entry keeps its rows
+    (D = 1), so float drifts stay bit-for-bit the unscaled ones."""
+    if not all(isinstance(p, Rational) for _s, p in pmf):
+        for cc in controls:
+            cc.scaled_terms = cc.node_terms
+        return 1
+    scale = lcm(*(Fraction(p).denominator for _s, p in pmf))
+    for cc in controls:
+        cc.scaled_terms = tuple(
+            (src, tuple((tgt, int(p * scale)) for tgt, p in row))
+            for src, row in cc.node_terms
+        )
+    return scale
+
+
+# (key, _Compiled) of the last compile in this process; runs only read it
+_LAST_COMPILED: list = [None, None]
+
+
 def compile_catalog(config: SimConfig) -> _Compiled:
+    """Compile the catalog, or return the last compile when its inputs
+    are equal (the pmf compared with its entries' types, so a float and an
+    equal rational never share one)."""
+    pmf = list(config.erasure.pmf())
+    # the engine matters only through whether the delta tables are built
+    with_deltas = config.engine == "counts" or config.policy == "maxweight"
+    key = (
+        config.n_users,
+        config.restriction,
+        with_deltas,
+        config.policy,
+        tuple((s.mask, type(p), p) for s, p in pmf),
+    )
+    if _LAST_COMPILED[0] == key:
+        return _LAST_COMPILED[1]
     n = config.n_users
     catalog = enumerate_controls(n, config.restriction)
     queues, qidx, weights, levels, roots = _queue_space(n)
@@ -242,18 +288,24 @@ def compile_catalog(config: SimConfig) -> _Compiled:
                 exit_level=max(qi.level for qi in spec.sorted_pairs),
             )
         )
-    if config.engine == "counts" or config.policy == "maxweight":
+    if with_deltas:
         for cc, deltas in zip(controls, _compile_deltas(catalog)):
             cc.deltas = deltas
+    scale = 1
     if config.policy == "maxweight":
-        pmf = list(config.erasure.pmf())
         for cc in controls:
             cc.node_terms = _fold_terms(queues, cc, pmf)
-    return _Compiled(queues, weights, levels, roots, controls)
+        scale = _scale_terms(controls, pmf)
+    compiled = _Compiled(queues, weights, levels, roots, controls, scale)
+    _LAST_COMPILED[:] = key, compiled
+    return compiled
 
 
 def _select(compiled: _Compiled, lengths, nonzero_mask, policy, rng):
+    """The first eligible control of largest reward, all rewards times
+    compiled.scale (exact in ints for an exact pmf)."""
     controls = compiled.controls
+    scale = compiled.scale
     eligible = [
         idx
         for idx, cc in enumerate(controls)
@@ -267,8 +319,8 @@ def _select(compiled: _Compiled, lengths, nonzero_mask, policy, rng):
     best_reward = None
     for idx in eligible:
         reward = 0
-        for src, row in controls[idx].node_terms:
-            drift = lengths[src]
+        for src, row in controls[idx].scaled_terms:
+            drift = scale * lengths[src]
             for tgt, p in row:
                 drift -= p * lengths[tgt]
             if drift > 0:
@@ -628,6 +680,7 @@ def stability_probe(
     if n_workers == 1:
         outcomes = [_probe_task(t) for t in tasks]
     else:
+        gc.collect()  # forked workers copy the heap, uncollected cycles too
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             outcomes = list(pool.map(_probe_task, tasks))
     reports = []

@@ -365,6 +365,7 @@ def test_06_four_user_certificate_sweep():
     report(6, "180 boundary rays: certificates exact, balanced, feasible")
 
 
+@pytest.mark.slow
 def test_07_throughput_at_desk_scale():
     verdicts = {}
     for eps in (0.25, 0.5, 0.75):

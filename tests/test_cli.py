@@ -213,6 +213,16 @@ class TestRegions:
         assert len(rows) == 3
         assert all(r["outer_margin"] == "99/100" for r in rows)
 
+    def test_config_erasure_section_is_read(self, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text(
+            json.dumps({"n_users": 2, "erasure": {"iid": "1/3"}, "rays": 1})
+        )
+        args = ["regions", "--config", str(config), "--out", str(tmp_path)]
+        assert main(args) == 0
+        rows = json.loads((tmp_path / "regions.json").read_text())
+        assert [r["eps"] for r in rows] == ["1/3"]
+
 
 class TestProbe:
     def test_verdicts_both_sides(self, tmp_path, capsys):
@@ -284,6 +294,8 @@ class TestExitCodes:
             ("regions", {}, ["--n", "17"]),
             ("probe", {"ray": [1] * 17}, ["--n", "17"]),
             ("regions", {}, ["--n", "0"]),
+            ("regions", {"erasure": {"iid": ["1/3", "1/4"]}}, []),
+            ("regions", {"erasure": {"joint": {"0,1": "1"}}}, []),
         ],
         ids=[
             "joint-key-not-a-number",
@@ -303,6 +315,8 @@ class TestExitCodes:
             "regions-17-users",
             "probe-17-users",
             "regions-no-users",
+            "regions-per-user-erasure",
+            "regions-joint-erasure",
         ],
     )
     def test_malformed_field_maps_to_one(self, tmp_path, capsys, command, doc, extra):

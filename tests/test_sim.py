@@ -8,6 +8,7 @@ means, monitor wiring and probe verdicts.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -266,6 +267,42 @@ class TestSelection:
             else:
                 assert specs[got] == want
 
+    @pytest.mark.parametrize(
+        "n, restriction, model",
+        [PARITY[i] for i in (0, 1, 3)],
+        ids=["n2-joint", "n3-rational", "n4-table8"],
+    )
+    def test_integer_select_is_exact(self, n, restriction, model):
+        compiled = compile_catalog(
+            make_config(n=n, horizon=1, eps=model, restriction=restriction)
+        )
+        n_queues = len(compiled.queues)
+
+        def reward(cc, lengths):
+            total = F(0)
+            for src, row in cc.node_terms:
+                drift = lengths[src] - sum(F(p) * lengths[tgt] for tgt, p in row)
+                total += max(drift, 0)
+            return total
+
+        rng = random.Random(f"exact-{n}")
+        vectors = [[rng.randint(0, 10**9) for _ in range(n_queues)] for _ in range(40)]
+        vectors += [[c] * n_queues for c in (1, 7, 10**9)]
+        vectors += [
+            [c if rng.random() < 0.5 else 0 for _ in range(n_queues)]
+            for c in (1, 10**9)
+            for _ in range(10)
+        ]
+        for lengths in vectors:
+            nonzero = sum(1 << k for k, ln in enumerate(lengths) if ln)
+            want, best = None, None
+            for idx, cc in enumerate(compiled.controls):
+                if cc.required_mask & nonzero == cc.required_mask:
+                    r = reward(cc, lengths)
+                    if best is None or r > best:
+                        want, best = idx, r
+            assert _select(compiled, lengths, nonzero, "maxweight", None) == want
+
     def test_idle_when_everything_empty(self):
         res = run(make_config(n=2, horizon=50, rates=(0.0, 0.0)))
         assert res.idle_slots == 50
@@ -467,6 +504,36 @@ class TestStabilityProbe:
             cfg, (0.3, 0.3), (0.8,), seeds=2, window=2000, workers=1
         )
         assert a == b
+
+    def test_probe_is_deterministic_on_rational_input(self):
+        cfg = make_config(
+            n=2, horizon=1, eps=F(1, 4), rates=(0.0, 0.0), seed="probe"
+        )
+        a = stability_probe(
+            cfg, (0.3, 0.3), (0.8, 1.2), seeds=2, window=1500, workers=2
+        )
+        b = stability_probe(
+            cfg, (0.3, 0.3), (0.8, 1.2), seeds=2, window=1500, workers=1
+        )
+        assert a == b
+
+    def test_compile_reused_for_equal_inputs_only(self):
+        def compiled(eps):
+            return compile_catalog(make_config(n=3, eps=eps, engine="counts"))
+
+        quarter = compiled(F(1, 4))
+        assert compiled(F(1, 4)) is quarter
+        # equal in value, but a float pmf keeps float rows
+        floats = compiled(0.25)
+        assert floats is not quarter
+        assert (floats.scale, quarter.scale) == (1, 64)
+        assert compiled(F(1, 3)) is not compiled(F(1, 4))
+        # max-weight builds the delta tables for either engine
+        cfg = make_config(n=3, eps=F(1, 4), engine="object")
+        assert compile_catalog(cfg) is compiled(F(1, 4))
+        random_policy = compile_catalog(replace(cfg, policy="random"))
+        assert random_policy.controls[0].deltas is None
+        assert compiled(F(1, 4)) is not random_policy
 
     def test_zero_ray_rejected(self):
         cfg = make_config(n=2, horizon=1, rates=(0.0, 0.0))
