@@ -2,10 +2,10 @@
 
 Erasures are independent across time but may be arbitrarily correlated
 across users (joint mode).  All probability queries accept exact rationals
-and preserve them; sampling converts to float once.  An exact iid erasure
-probability or Bernoulli arrival rate is sampled through a float threshold
-that splits the draws of ``random()`` exactly where the probability does,
-so every draw keeps its outcome.
+and preserve them; sampling converts to float once.  An iid erasure
+probability or Bernoulli arrival rate, exact or float, is sampled through
+a float threshold that splits the draws of ``random()`` exactly where the
+probability does, so every draw keeps its outcome.
 """
 
 from __future__ import annotations
@@ -44,10 +44,8 @@ def _sampling_table(entries) -> tuple:
 
 def _threshold(eps) -> float:
     """The float t with u >= t exactly when u >= eps (so u < t exactly
-    when u < eps), for every u = k/2**53 that ``random()`` returns; a float
-    eps is its own threshold."""
-    if isinstance(eps, float):
-        return eps
+    when u < eps), for every u = k/2**53 that ``random()`` returns;
+    ``Fraction`` is exact for a float eps too."""
     return ceil(Fraction(eps) * 2**53) / 2**53
 
 

@@ -296,7 +296,7 @@ def _cmd_regions(args) -> int:
         eps_grid = (_fraction(doc["iid_eps"], "iid_eps"),)
     elif "erasure" in doc and "eps_grid" not in doc:
         model = _erasure_from_doc(doc, n)
-        if model.eps is None or isinstance(doc["erasure"].get("iid"), list):
+        if model.eps is None or len(set(model.eps)) != 1:
             raise ConfigError(
                 "regions sweeps iid erasure levels: give one 'iid' value"
             )

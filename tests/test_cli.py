@@ -213,10 +213,11 @@ class TestRegions:
         assert len(rows) == 3
         assert all(r["outer_margin"] == "99/100" for r in rows)
 
-    def test_config_erasure_section_is_read(self, tmp_path):
+    @pytest.mark.parametrize("iid", ["1/3", ["1/3", "1/3"]], ids=["scalar", "equal-list"])
+    def test_config_erasure_section_is_read(self, tmp_path, iid):
         config = tmp_path / "c.json"
         config.write_text(
-            json.dumps({"n_users": 2, "erasure": {"iid": "1/3"}, "rays": 1})
+            json.dumps({"n_users": 2, "erasure": {"iid": iid}, "rays": 1})
         )
         args = ["regions", "--config", str(config), "--out", str(tmp_path)]
         assert main(args) == 0
