@@ -1,11 +1,11 @@
 """Stochastic models: per-slot reception sets and exogenous arrivals.
 
 Erasures are independent across time but may be arbitrarily correlated
-across users (joint mode).  All probability queries accept exact rationals
-and preserve them; sampling converts to float once.  An iid erasure
-probability or Bernoulli arrival rate, exact or float, is sampled through
-a float threshold that splits the draws of ``random()`` exactly where the
-probability does, so every draw keeps its outcome.
+across users (joint mode).  An erasure model holds each ε and pmf entry as
+its ``exact`` value (a float is the decimal it prints as), so probability
+queries are exact.  Sampling converts to float once; an iid ε or Bernoulli
+rate goes through a float threshold that splits the draws of ``random()``
+exactly where it does, so every draw keeps its outcome.
 """
 
 from __future__ import annotations
@@ -24,6 +24,12 @@ _TOL = 1e-12
 def make_rng(seed, name: str) -> random.Random:
     """Named substream: one master seed, independent deterministic streams."""
     return random.Random(f"{seed}/{name}")
+
+
+def exact(value) -> Fraction:
+    """A number or numeric string as a Fraction; a float is the decimal it
+    prints as (the command line's rule): ``exact(0.3) == Fraction(3, 10)``."""
+    return Fraction(str(value))
 
 
 def _as_user_set(key) -> UserSet:
@@ -45,7 +51,7 @@ def _sampling_table(entries) -> tuple:
 def _threshold(eps) -> float:
     """The float t with u >= t exactly when u >= eps (so u < t exactly
     when u < eps), for every u = k/2**53 that ``random()`` returns;
-    ``Fraction`` is exact for a float eps too."""
+    ``Fraction`` is exact for a float too, as an arrival rate may be."""
     return ceil(Fraction(eps) * 2**53) / 2**53
 
 
@@ -57,13 +63,13 @@ def _draw(table, rng: random.Random):
 
 
 class ErasureModel:
-    """Distribution of the per-slot reception set."""
+    """Distribution of the per-slot reception set, in ``exact`` values."""
 
     def __init__(self, n_users: int, eps: Sequence | None, pmf: dict | None):
         self.n_users = n_users
-        self.eps = None if eps is None else tuple(eps)
-        self._thresholds = None if eps is None else tuple(map(_threshold, eps))
-        self._pmf = pmf
+        self.eps = None if eps is None else tuple(map(exact, eps))
+        self._thresholds = None if eps is None else tuple(map(_threshold, self.eps))
+        self._pmf = None if pmf is None else {m: exact(p) for m, p in pmf.items()}
         self._table = None if pmf is None else _sampling_table(self.pmf())
 
     @classmethod
@@ -90,8 +96,8 @@ class ErasureModel:
             s = _as_user_set(key)
             if not s.issubset(full):
                 raise ConfigError(f"reception set {s!r} mentions unknown users")
-            if p < 0:
-                raise ConfigError("negative probability")
+            if not p >= 0:
+                raise ConfigError(f"probability {p} is negative or not a number")
             table[s.mask] = table.get(s.mask, 0) + p
             total += p
         if abs(total - 1) > _TOL:
@@ -125,7 +131,7 @@ class ErasureModel:
             for i in s:
                 p = p * (1 - self.eps[i])
             return p
-        total = 0
+        total = Fraction(0)
         for r, p in self.pmf():
             if s.issubset(r) and (r & g).mask == 0:
                 total += p
@@ -167,8 +173,8 @@ class ArrivalModel:
             vec = tuple(vec)
             if len(vec) != n_users or any(c < 0 or c != int(c) for c in vec):
                 raise ConfigError(f"bad batch vector {vec}")
-            if p < 0:
-                raise ConfigError("negative probability")
+            if not p >= 0:
+                raise ConfigError(f"probability {p} is negative or not a number")
             outcomes.append(tuple(int(c) for c in vec))
             probs.append(p)
             total += p

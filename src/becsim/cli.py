@@ -30,7 +30,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import get_type_hints
 
-from .channel import ArrivalModel, ErasureModel, make_rng
+from .channel import ArrivalModel, ErasureModel, exact, make_rng
 from .coding import FULL, TABLE8, enumerate_controls
 from .core import ConfigError, MonitorViolation
 from .regions import build_phi_4user, feasibility_check, outer_bound_margin
@@ -47,7 +47,7 @@ _NOT_FIELDS = frozenset({"command", "handler", "config", "out", "format"})
 
 def _fraction(value, key: str) -> Fraction:
     try:
-        return Fraction(str(value))
+        return exact(value)
     except (ValueError, ZeroDivisionError) as err:
         raise ConfigError(f"{key}: not a rational number: {value!r}") from err
 

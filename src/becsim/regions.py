@@ -2,8 +2,9 @@
 capacity bound, the hand-constructed 4-user flow certificate, generic
 flow-balance feasibility checking, and Fourier-Motzkin projection.
 
-All arithmetic is generic over floats and exact rationals: feed Fraction
-rates/probabilities in and every comparison is exact.
+Erasure probabilities are exact, as an erasure model holds them; rates may
+be floats or exact rationals, and with Fraction rates every comparison is
+exact.
 """
 
 from __future__ import annotations
@@ -97,10 +98,7 @@ def _penalty(denoms, bits) -> Decimal:
     a = sum(1 / d for d in denoms)
     with localcontext() as ctx:
         ctx.prec = 40
-        if isinstance(a, Fraction):
-            da = Decimal(a.numerator) / Decimal(a.denominator)
-        else:
-            da = Decimal(a)
+        da = Decimal(a.numerator) / Decimal(a.denominator)
         db = Decimal(bits)
         exponent = -db / da * Decimal(2).ln()
         return exponent.exp() * da / db
@@ -526,16 +524,17 @@ def simplify_inequalities(
     # pairwise dominance for unit-rhs rows: on nonnegative points a row with
     # larger coefficients everywhere is the tighter constraint
     out: list[LinearIneq] = []
+    rows = [a.as_dict() for a in kept]
     for idx, b in enumerate(kept):
         if b.rhs <= tol:
             out.append(b)
             continue
-        bv = b.as_dict()
+        bv = rows[idx]
         dominated = False
         for jdx, a in enumerate(kept):
             if jdx == idx or a.rhs <= tol:
                 continue
-            av = a.as_dict()
+            av = rows[jdx]
             names = set(av) | set(bv)
             if not all(av.get(v, 0) >= bv.get(v, 0) - tol for v in names):
                 continue

@@ -16,12 +16,12 @@ identical per-slot metrics from the same seed:
 Compiling a catalog runs the movement rules once per (control, reception
 set) to build the delta tables: one route (source, target or None) per
 popped head.  The counts backend and the max-weight rows, folded with the
-reception pmf, both read those routes.  For an exact pmf (no float entry)
-selection compares the rows scaled to integers by the pmf's least common
-denominator, so drift ties are exact and cheap; a float pmf keeps float
-arithmetic, so its traces, and the float/rational tie difference, are those
-of the unscaled rows.  A process keeps its last compiled catalog and hands
-it to the next run with the same inputs.
+reception pmf, both read those routes.  The erasure model holds exact
+values only (a float reads as its decimal), so selection compares the rows
+scaled to integers by the pmf's least common denominator: drift ties are
+exact and cheap, and catalog order breaks them for any input type.  A
+process keeps its last compiled catalog and hands it to the next run with
+the same inputs.
 """
 
 from __future__ import annotations
@@ -31,9 +31,7 @@ import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from math import factorial, lcm
-from numbers import Rational
 from typing import Optional
 
 from .channel import ArrivalModel, ErasureModel, make_rng, sample_arrivals, sample_reception
@@ -146,7 +144,7 @@ class _Compiled:
     levels: tuple
     roots: tuple  # queue id of Q^{}_{i} per user
     controls: list
-    scale: int  # common denominator of an exact pmf; 1 for floats
+    scale: int  # the pmf's least common denominator; 1 without rows
 
 
 _SPACE_CACHE: dict = {}
@@ -215,7 +213,7 @@ def _fold_terms(queues, cc: _CompiledControl, pmf: list) -> tuple:
     delivered otherwise; a token whose queue was not popped stays put.
     Probabilities are summed in the order of the reception pmf's entries, as
     ``scheduler.derive_transitions`` does, so the rows equal its table with
-    deliveries dropped, also for floats.
+    deliveries dropped.
     """
     nodes = [(q, i) for q in cc.queue_ids for i in queues[q].destinations]
     buckets = [{} for _ in nodes]
@@ -236,13 +234,8 @@ def _fold_terms(queues, cc: _CompiledControl, pmf: list) -> tuple:
 
 def _scale_terms(controls, pmf) -> int:
     """Give each control its rows times the pmf's least common denominator
-    D, all ints, and return D; a pmf with a float entry keeps its rows
-    (D = 1), so float drifts stay bit-for-bit the unscaled ones."""
-    if not all(isinstance(p, Rational) for _s, p in pmf):
-        for cc in controls:
-            cc.scaled_terms = cc.node_terms
-        return 1
-    scale = lcm(*(Fraction(p).denominator for _s, p in pmf))
+    D, all ints, and return D."""
+    scale = lcm(*(p.denominator for _s, p in pmf))
     for cc in controls:
         cc.scaled_terms = tuple(
             (src, tuple((tgt, int(p * scale)) for tgt, p in row))
@@ -257,8 +250,7 @@ _LAST_COMPILED: list = [None, None]
 
 def compile_catalog(config: SimConfig) -> _Compiled:
     """Compile the catalog, or return the last compile when its inputs
-    are equal (the pmf compared with its entries' types, so a float and an
-    equal rational never share one)."""
+    are equal."""
     pmf = list(config.erasure.pmf())
     # the engine matters only through whether the delta tables are built
     with_deltas = config.engine == "counts" or config.policy == "maxweight"
@@ -267,7 +259,7 @@ def compile_catalog(config: SimConfig) -> _Compiled:
         config.restriction,
         with_deltas,
         config.policy,
-        tuple((s.mask, type(p), p) for s, p in pmf),
+        tuple((s.mask, p) for s, p in pmf),
     )
     if _LAST_COMPILED[0] == key:
         return _LAST_COMPILED[1]
@@ -303,7 +295,7 @@ def compile_catalog(config: SimConfig) -> _Compiled:
 
 def _select(compiled: _Compiled, lengths, nonzero_mask, policy, rng):
     """The first eligible control of largest reward, all rewards times
-    compiled.scale (exact in ints for an exact pmf)."""
+    compiled.scale (exact ints)."""
     controls = compiled.controls
     scale = compiled.scale
     eligible = [

@@ -439,7 +439,7 @@ def test_09_finite_length_gap():
             a = sum(1 / d for d in denoms)
             with localcontext() as ctx:
                 ctx.prec = 40
-                da = Decimal(a)
+                da = Decimal(a.numerator) / Decimal(a.denominator)
                 want = (
                     (-Decimal(bits) / da * Decimal(2).ln()).exp()
                     * da

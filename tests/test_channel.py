@@ -12,11 +12,13 @@ from becsim.channel import (
     ArrivalModel,
     ErasureModel,
     epsilon_g,
+    exact,
     make_rng,
     p_gs,
     sample_arrivals,
     sample_reception,
 )
+from becsim.cli import _build_parser, _document, _sim_config
 from becsim.core import ConfigError, UserSet
 
 
@@ -80,6 +82,11 @@ class TestPGs:
             ErasureModel.joint(2, {(): 1.5, (0,): -0.5})
         with pytest.raises(ConfigError):
             ErasureModel.iid(2, 1.5)
+        # NaN compares false with everything, so no sum check can catch it
+        with pytest.raises(ConfigError):
+            ErasureModel.joint(1, {(): float("nan"), (0,): 1})
+        with pytest.raises(ConfigError):
+            ErasureModel.iid(2, float("nan"))
 
 
 class TestSampling:
@@ -180,6 +187,16 @@ class TestSamplingThresholds:
         for u in _draws_around(rate):
             assert m.sample(_Draws([u])) == (int(u < rate),), u
 
+    def test_float_threshold_follows_its_decimal(self):
+        # the float 0.7 lies on the 2**-53 grid and its decimal above it,
+        # so the draw u = 0.7 itself is an erasure, as u < 7/10
+        assert (F(0.7) * 2**53).denominator == 1 and F(0.7) < F("0.7")
+        draws = sorted(set(_draws_around(0.7) + _draws_around(F("0.7"))))
+        assert 0.7 in draws
+        m = ErasureModel.iid(1, 0.7)
+        for u in draws:
+            assert (m.sample(_Draws([u])) == U(0)) == (u >= F("0.7")), u
+
     def test_per_user_list(self):
         eps = [F(1, 3), F(2, 7), F(999, 1000)]
         m = ErasureModel.iid(3, eps)
@@ -188,6 +205,22 @@ class TestSamplingThresholds:
                 i for i, (u, e) in enumerate(zip(draws, eps)) if u >= e
             )
             assert m.sample(_Draws(draws)) == want, draws
+
+
+class TestExactValues:
+    def test_float_reads_as_the_command_line_reads_it(self):
+        args = _build_parser().parse_args(
+            ["simulate", "--n", "3", "--iid-eps", "0.3", "--lambda", "0,0,0"]
+        )
+        from_cli = _sim_config(_document(args)).erasure
+        m = ErasureModel.iid(3, 0.3)
+        assert m.eps == from_cli.eps == (F(3, 10),) * 3
+        assert list(m.pmf()) == list(from_cli.pmf())
+
+    def test_joint_entries_read_as_decimals(self):
+        m = ErasureModel.joint(2, {(): 0.1, (0,): 0.2, (1,): 0.3, (0, 1): 0.4})
+        assert [p for _s, p in m.pmf()] == [F(1, 10), F(1, 5), F(3, 10), F(2, 5)]
+        assert exact(0.1) == exact("0.1") == exact(F(1, 10)) == F(1, 10)
 
 
 class TestArrivals:
@@ -220,3 +253,5 @@ class TestArrivals:
             ArrivalModel.joint(2, {(0,): 1})
         with pytest.raises(ConfigError):
             ArrivalModel.joint(1, {(0,): 0.5, (1,): 0.4})
+        with pytest.raises(ConfigError):
+            ArrivalModel.joint(1, {(0,): float("nan"), (1,): 1})

@@ -136,6 +136,17 @@ class TestCapacityBound:
         with pytest.raises(ConfigError):
             capacity_bound_argmax((0.1,), ErasureModel.iid(1, 0.5), 0)
 
+    def test_joint_user_never_erased(self):
+        # user 0 always receives, so every prefix holding it has eps_g = 0
+        # and denominator 1: A = 2 for order (0, 1), 1/(1/2) + 1 = 3 for (1, 0)
+        model = ErasureModel.joint(2, {(0,): F(1, 2), (0, 1): F(1, 2)})
+        report = capacity_gap((F(1, 5),) * 2, model, 100)
+        assert report["outer_perm"] == report["capacity_perm"] == (1, 0)
+        assert report["outer_margin"] == F(3, 5)
+        assert float(report["gap"]) == pytest.approx(2 ** (-100 / 3) * 3 / 100, rel=1e-12)
+        got = exponential_penalty(model, (0, 1), 100)
+        assert float(got) == pytest.approx(2.0**-50 * 2 / 100, rel=1e-12)
+
     def test_prefix_denominators_once_per_order(self, monkeypatch):
         calls = []
         real = regions._prefix_denominators

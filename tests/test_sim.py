@@ -28,6 +28,7 @@ from becsim.sim import (
     compile_catalog,
     run,
     stability_probe,
+    summarize,
     worker_count,
 )
 
@@ -165,11 +166,11 @@ class TestEngineEquivalence:
 
 
 @st.composite
-def random_configs(draw):
+def random_configs(draw, kinds=("rational", "float", "joint")):
     """Any N <= 4 system: iid erasures (rational or float) or a joint pmf
     with zero-mass sets, either policy, retransmit mode and flush rule."""
     n = draw(st.integers(1, 4))
-    kind = draw(st.sampled_from(["rational", "float", "joint"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "joint":
         weights = draw(
             st.lists(st.integers(0, 3), min_size=1 << n, max_size=1 << n).filter(any)
@@ -213,6 +214,56 @@ class TestEngineProperty:
         assert a.max_stored_by_level == b.max_stored_by_level
         assert a.max_exit_by_level == b.max_exit_by_level
         assert (a.flush_slots, a.idle_slots) == (b.flush_slots, b.idle_slots)
+
+
+def _rebuild(model, convert):
+    """The model with every ε or pmf entry replaced by convert(float(p))."""
+    if model.eps is not None:
+        return ErasureModel.iid(model.n_users, [convert(float(e)) for e in model.eps])
+    return ErasureModel.joint(
+        model.n_users, {s: convert(float(p)) for s, p in model.pmf()}
+    )
+
+
+class TestFloatInputs:
+    """A float ε or pmf entry is the decimal it prints as, so it runs as
+    the ``Fraction`` of that decimal does: same drifts, same ties (catalog
+    order), same sampling thresholds."""
+
+    @pytest.mark.parametrize("engine", ["object", "counts"])
+    def test_float_and_fraction_share_a_trace(self, engine):
+        # rounded float drifts once broke a tie at row 44 differently:
+        # control 3 for 0.3, control 0 for 3/10
+        a, b = (
+            run(
+                make_config(
+                    n=3,
+                    horizon=100,
+                    eps=eps,
+                    rates=(0.20, 0.17, 0.14),
+                    seed="x",
+                    engine=engine,
+                )
+            )
+            for eps in (0.3, F(3, 10))
+        )
+        assert a.trace == b.trace
+
+    @pytest.mark.parametrize("policy", ["maxweight", "random"])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        params=random_configs(kinds=("float", "joint")),
+        engine=st.sampled_from(["object", "counts"]),
+    )
+    def test_float_model_runs_as_its_decimal_twin(self, policy, params, engine):
+        model = params.pop("eps")
+        twins = (_rebuild(model, float), _rebuild(model, lambda x: F(str(x))))
+        a, b = (
+            run(make_config(eps=m, engine=engine, **dict(params, policy=policy)))
+            for m in twins
+        )
+        assert a.trace == b.trace
+        assert summarize(a) == summarize(b)
 
 
 PARITY = [
@@ -523,10 +574,9 @@ class TestStabilityProbe:
 
         quarter = compiled(F(1, 4))
         assert compiled(F(1, 4)) is quarter
-        # equal in value, but a float pmf keeps float rows
-        floats = compiled(0.25)
-        assert floats is not quarter
-        assert (floats.scale, quarter.scale) == (1, 64)
+        # a float reads as its decimal, so an equal float shares the compile
+        assert compiled(0.25) is quarter
+        assert quarter.scale == 64
         assert compiled(F(1, 3)) is not compiled(F(1, 4))
         # max-weight builds the delta tables for either engine
         cfg = make_config(n=3, eps=F(1, 4), engine="object")
