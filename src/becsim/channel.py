@@ -3,9 +3,11 @@
 Erasures are independent across time but may be arbitrarily correlated
 across users (joint mode).  An erasure model holds each ε and pmf entry as
 its ``exact`` value (a float is the decimal it prints as), so probability
-queries are exact.  Sampling converts to float once; an iid ε or Bernoulli
-rate goes through a float threshold that splits the draws of ``random()``
-exactly where it does, so every draw keeps its outcome.
+queries are exact; an arrival model samples its rates and pmf entries
+through their ``exact`` values too, so a float input samples as its
+``Fraction`` twin does.  Sampling converts to float once; an iid ε or
+Bernoulli rate goes through a float threshold that splits the draws of
+``random()`` exactly where it does, so every draw keeps its outcome.
 """
 
 from __future__ import annotations
@@ -50,9 +52,8 @@ def _sampling_table(entries) -> tuple:
 
 def _threshold(eps) -> float:
     """The float t with u >= t exactly when u >= eps (so u < t exactly
-    when u < eps), for every u = k/2**53 that ``random()`` returns;
-    ``Fraction`` is exact for a float too, as an arrival rate may be."""
-    return ceil(Fraction(eps) * 2**53) / 2**53
+    when u < eps), for every u = k/2**53 that ``random()`` returns."""
+    return ceil(eps * 2**53) / 2**53
 
 
 def _draw(table, rng: random.Random):
@@ -152,9 +153,11 @@ class ArrivalModel:
 
     def __init__(self, n_users, rates, table):
         self.n_users = n_users
-        self.rates = rates
+        self.rates = rates  # as given; sampling reads their ``exact`` values
         self._table = table  # None: independent Bernoulli arrivals
-        self._thresholds = tuple(map(_threshold, rates)) if table is None else None
+        self._thresholds = (
+            tuple(_threshold(exact(r)) for r in rates) if table is None else None
+        )
 
     @classmethod
     def bernoulli(cls, rates: Sequence) -> "ArrivalModel":
@@ -176,8 +179,8 @@ class ArrivalModel:
             if not p >= 0:
                 raise ConfigError(f"probability {p} is negative or not a number")
             outcomes.append(tuple(int(c) for c in vec))
-            probs.append(p)
-            total += p
+            probs.append(exact(p))
+            total += probs[-1]
         if abs(total - 1) > _TOL:
             raise ConfigError(f"arrival pmf sums to {total}, not 1")
         rates = tuple(

@@ -52,7 +52,7 @@ class ControlSpec:
     def sorted_pairs(self) -> tuple[QueueIndex, ...]:
         return tuple(sorted(self.pairs, key=QueueIndex.sort_key))
 
-    @property
+    @cached_property
     def involved(self) -> UserSet:
         """Union of all listener and destination sets."""
         out = EMPTY
@@ -60,7 +60,7 @@ class ControlSpec:
             out = out | qi.listeners | qi.destinations
         return out
 
-    @property
+    @cached_property
     def common_listeners(self) -> UserSet:
         it = iter(self.pairs)
         out = next(it).listeners

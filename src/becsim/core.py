@@ -25,10 +25,19 @@ def check_n_users(n_users: int) -> None:
 class MonitorViolation(Exception):
     """A runtime invariant monitor fired (CLI exit code 2)."""
 
-    def __init__(self, violations, slot=None):
+    def __init__(
+        self, violations, slot=None, control=None, received=None, case=None
+    ):
         self.violations = list(violations)
         self.slot = slot
+        self.control = control  # catalog index of the slot's control
+        self.received = received  # the slot's reception set, as a mask
+        self.case = case  # movement case label, once the heads have moved
         where = f" at slot {slot}" if slot is not None else ""
+        fields = (("control", control), ("received", received), ("case", case))
+        context = [f"{name} {value}" for name, value in fields if value is not None]
+        if context:
+            where += f" ({', '.join(context)})"
         super().__init__(f"monitor violation{where}: " + "; ".join(self.violations))
 
 

@@ -14,18 +14,20 @@ The decision tree, with its branch labels:
           receivers, then advance as in 2.2.1 (or do nothing if nobody
           involved received).
 
-Every head packet has one of four fates: held, delivered, relocated to a
-queue with a larger listener set, or merged into a higher-level composite;
-one helper, ``_relocate``, performs the last two.  Every decoding event
-removes exactly one pending token.  Auditing the state is the caller's job.
+``plan_moves`` decides a slot from (control, reception set) alone, by set
+arithmetic: the case, the users that decode, and one route per popped head.
+``apply_rpm`` carries that plan out on a ``NetworkState``.  Every head packet
+has one of four fates: held, delivered, relocated to a queue with a larger
+listener set, or merged into a higher-level composite; one helper,
+``_relocate``, performs the last two.  Every decoding event removes exactly
+one pending token.  Auditing the state is the caller's job.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import product
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .core import (
     EMPTY,
@@ -34,7 +36,6 @@ from .core import (
     RealPacket,
     Token,
     UserSet,
-    audit_state,
     validate_cc,
 )
 from .coding import ControlSpec, destinations_of, validate_bcr
@@ -51,6 +52,18 @@ class RpmCase(Enum):
 @dataclass(frozen=True)
 class ReceptionOutcome:
     received: UserSet
+
+
+class MovePlan(NamedTuple):
+    """The movement decision for one (control, reception set)."""
+
+    case: RpmCase
+    s_effective: UserSet  # S with uninvolved receivers dropped (2.2.2B)
+    decoded: tuple  # (pair, user) per destination that received, pair order
+    # (source, target | None) per popped head, in pop order; None = leaves
+    # the network; a merge routes every head to the merge target
+    routes: tuple
+    merged: bool = False  # the popped heads form one fresh composite
 
 
 @dataclass
@@ -107,6 +120,63 @@ def _resolve_chosen(state, pairs, chosen):
     return picked
 
 
+def plan_moves(spec: ControlSpec, s: UserSet) -> MovePlan:
+    """Decide where each head of the control goes for reception set s.
+
+    Queue dynamics depend on (control, reception set) alone, so this is set
+    arithmetic on the listener and destination sets; no state is read.
+    """
+    pairs = spec.sorted_pairs
+    # each destination that received cancels the foreign constituents and
+    # keeps its own pending native
+    decoded = tuple([(qi, i) for qi in pairs for i in qi.destinations & s])
+    if not s:
+        return MovePlan(RpmCase.RETRANSMIT, s, decoded, ())
+
+    union_d = destinations_of(spec)
+    if union_d.issubset(s):
+        return MovePlan(
+            RpmCase.ALL_SERVED, s, decoded, tuple((qi, None) for qi in pairs)
+        )
+
+    involved = spec.involved
+    if not (s - involved):
+        return MovePlan(RpmCase.ADVANCE, s, decoded, _advance(spec, s))
+
+    cut = len(spec.common_listeners | s | (union_d - s))
+    widest = max(qi.level for qi in pairs)
+    if cut > widest:
+        target = QueueIndex(spec.common_listeners | s, union_d - s)
+        assert target.level > widest
+        routes = tuple((qi, target) for qi in pairs)
+        return MovePlan(RpmCase.MERGE, s, decoded, routes, len(pairs) > 1)
+
+    s2 = s & involved
+    if not s2:
+        # only bystanders heard it; queue state already optimal
+        return MovePlan(RpmCase.SHRINK, s2, decoded, ())
+    # shrinking S cannot re-enter the other branches
+    assert not union_d.issubset(s2)
+    return MovePlan(RpmCase.SHRINK, s2, decoded, _advance(spec, s2))
+
+
+def _advance(spec, s) -> tuple:
+    """Each head advances to the queue of its new listener set, or exits;
+    a head whose target is its own queue stays and keeps its position."""
+    s_tilde = s & tilde_l(spec)
+    routes = []
+    for qi in spec.sorted_pairs:
+        remaining = qi.destinations - s
+        if not remaining:
+            routes.append((qi, None))
+            continue
+        target = QueueIndex(qi.listeners | (qi.destinations & s) | s_tilde, remaining)
+        if target != qi:
+            assert (target.level, target.sublevel) > (qi.level, qi.sublevel)
+            routes.append((qi, target))
+    return tuple(routes)
+
+
 def apply_rpm(
     state: NetworkState,
     spec: ControlSpec,
@@ -116,7 +186,7 @@ def apply_rpm(
     """Mutate state according to the movement rules; return what happened.
 
     chosen lists one packet per pair in sorted-pair order; None takes the
-    heads.
+    heads.  ``plan_moves`` decides; this carries its routes out.
     """
     assert validate_bcr(spec)
     pairs = spec.sorted_pairs
@@ -124,7 +194,12 @@ def apply_rpm(
     s = outcome.received
     if not s.issubset(UserSet.full(state.n_users)):
         raise ValueError("reception set mentions unknown users")
-    plan = MovementPlan(s_effective=s)
+    moves = plan_moves(spec, s)
+    plan = MovementPlan(
+        case=moves.case,
+        s_effective=moves.s_effective,
+        retransmit=moves.case is RpmCase.RETRANSMIT,
+    )
 
     composite: frozenset = frozenset()
     for qi in pairs:
@@ -136,53 +211,28 @@ def apply_rpm(
     for i in s:
         state.bases[i].insert(composite)
 
-    if not s:
-        plan.case = RpmCase.RETRANSMIT
-        plan.retransmit = True
-        return plan
+    for qi, i in moves.decoded:
+        tok = state.find_token(qi, i, picked[qi].pid)
+        state.remove_token(tok)
+        state.decoded[i].add(tok.native)
+        state.bases[i].insert(frozenset([tok.native]))
+        plan.decoded.append((i, tok.native))
+        plan.token_moves.append((tok.native, (qi, i), None))
 
-    # each destination that received cancels the foreign constituents and
-    # keeps its own pending native
-    for qi in pairs:
+    pid = state.fresh_pid() if moves.merged else None
+    for qi, target in moves.routes:
         p = picked[qi]
-        for i in qi.destinations & s:
-            tok = state.find_token(qi, i, p.pid)
-            state.remove_token(tok)
-            state.decoded[i].add(tok.native)
-            state.bases[i].insert(frozenset([tok.native]))
-            plan.decoded.append((i, tok.native))
-            plan.token_moves.append((tok.native, (qi, i), None))
-
-    union_d = destinations_of(spec)
-    if union_d.issubset(s):
-        plan.case = RpmCase.ALL_SERVED
-        for qi in pairs:
-            p = picked[qi]
+        if target is None:
             state.remove_packet(p)
             plan.real_moves.append((p.pid, qi, None))
-        return plan
-
-    involved = spec.involved
-    if not (s - involved):
-        plan.case = RpmCase.ADVANCE
-        _advance(state, spec, picked, s, plan)
-        return plan
-
-    cut = len(spec.common_listeners | s | (union_d - s))
-    widest = max(qi.level for qi in pairs)
-    if cut > widest:
-        plan.case = RpmCase.MERGE
-        _merge(state, spec, picked, s, plan, composite)
-        return plan
-
-    plan.case = RpmCase.SHRINK
-    s2 = s & involved
-    plan.s_effective = s2
-    if not s2:
-        return plan  # only bystanders heard it; queue state already optimal
-    # shrinking S cannot re-enter the other branches
-    assert not union_d.issubset(s2)
-    _advance(state, spec, picked, s2, plan)
+        else:
+            assert validate_cc(target, state.n_users)
+            _relocate(state, plan, qi, p, s, target, p.pid if pid is None else pid)
+    if moves.merged:
+        target = moves.routes[0][1]
+        state.append_packet(RealPacket(pid, composite, target))
+        plan.real_moves.append((pid, None, target))
+        plan.merged = (pid, target)
     return plan
 
 
@@ -204,42 +254,6 @@ def _relocate(state, plan, qi, p, s, target, holder):
         tok.packet_id = holder
         state.append_token(tok)
         plan.token_moves.append((tok.native, (qi, i), (target, i)))
-
-
-def _advance(state, spec, picked, s, plan):
-    s_tilde = s & tilde_l(spec)
-    for qi in spec.sorted_pairs:
-        p = picked[qi]
-        remaining = qi.destinations - s
-        if not remaining:
-            state.remove_packet(p)
-            plan.real_moves.append((p.pid, qi, None))
-            continue
-        target = QueueIndex(qi.listeners | (qi.destinations & s) | s_tilde, remaining)
-        if target == qi:
-            continue  # unchanged; keeps its position in the queue
-        assert validate_cc(target, state.n_users)
-        assert (target.level, target.sublevel) > (qi.level, qi.sublevel)
-        _relocate(state, plan, qi, p, s, target, p.pid)
-
-
-def _merge(state, spec, picked, s, plan, composite):
-    pairs = spec.sorted_pairs
-    target = QueueIndex(spec.common_listeners | s, destinations_of(spec) - s)
-    assert validate_cc(target, state.n_users)
-    assert target.level > max(qi.level for qi in pairs)
-
-    if len(pairs) == 1:
-        p = picked[pairs[0]]
-        _relocate(state, plan, pairs[0], p, s, target, p.pid)
-        return
-
-    pid = state.fresh_pid()
-    for qi in pairs:
-        _relocate(state, plan, qi, picked[qi], s, target, pid)
-    state.append_packet(RealPacket(pid, composite, target))
-    plan.real_moves.append((pid, None, target))
-    plan.merged = (pid, target)
 
 
 def synthesize_state(n_users: int, entries) -> NetworkState:
@@ -281,168 +295,3 @@ def synthesize_state(n_users: int, entries) -> NetworkState:
                 if n != pending[i]:
                     state.bases[i].insert(frozenset([n]))
     return state
-
-
-# --- reference action tables for the three-user scheme ---------------------
-#
-# Seven transmitted combinations, grouped into the five scheduling phases of
-# the hand-built three-user scheme.  Users are (i, j, k) = (0, 1, 2); each
-# fixture lists the queues whose heads are coded together.  Expected rows map
-# a feedback triple (R = received, E = erased, in user order) to
-#   (branch label, users that decode, per-packet action, merge target).
-# Actions: "X" leaves the network, "S" stays put, "M" absorbed into a merged
-# composite, (L, D) moved to that queue.
-
-_FIXTURES = {
-    1: [((), (0,))],
-    2: [((1,), (0,)), ((0,), (1,))],
-    3: [((1, 2), (0,)), ((0,), (1, 2))],
-    4: [((0,), (1, 2))],
-    5: [((1,), (0,)), ((0, 2), (1,))],
-    6: [((1,), (0,))],
-    7: [((1, 2), (0,)), ((0, 2), (1,)), ((0, 1), (2,))],
-}
-
-PHASE_TABLES = {1: (1,), 2: (2,), 3: (3, 4), 4: (5, 6), 5: (7,)}
-
-_EXPECTED = {
-    1: {
-        "RRR": ("2.1", (0,), ("X",), None),
-        "RRE": ("2.1", (0,), ("X",), None),
-        "RER": ("2.1", (0,), ("X",), None),
-        "REE": ("2.1", (0,), ("X",), None),
-        "ERR": ("2.2.2A", (), (((1, 2), (0,)),), None),
-        "ERE": ("2.2.2A", (), (((1,), (0,)),), None),
-        "EER": ("2.2.2A", (), (((2,), (0,)),), None),
-        "EEE": ("1", (), ("S",), None),
-    },
-    2: {
-        "RRR": ("2.1", (0, 1), ("X", "X"), None),
-        "RRE": ("2.1", (0, 1), ("X", "X"), None),
-        "RER": ("2.2.2A", (0,), ("M", "M"), ((0, 2), (1,))),
-        "REE": ("2.2.1", (0,), ("X", "S"), None),
-        "ERR": ("2.2.2A", (1,), ("M", "M"), ((1, 2), (0,))),
-        "ERE": ("2.2.1", (1,), ("S", "X"), None),
-        "EER": ("2.2.2A", (), ("M", "M"), ((2,), (0, 1))),
-        "EEE": ("1", (), ("S", "S"), None),
-    },
-    3: {
-        "RRR": ("2.1", (0, 1, 2), ("X", "X"), None),
-        "RRE": ("2.2.1", (0, 1), ("X", ((0, 1), (2,))), None),
-        "RER": ("2.2.1", (0, 2), ("X", ((0, 2), (1,))), None),
-        "REE": ("2.2.1", (0,), ("X", "S"), None),
-        "ERR": ("2.2.1", (1, 2), ("S", "X"), None),
-        "ERE": ("2.2.1", (1,), ("S", ((0, 1), (2,))), None),
-        "EER": ("2.2.1", (2,), ("S", ((0, 2), (1,))), None),
-        "EEE": ("1", (), ("S", "S"), None),
-    },
-    4: {
-        "RRR": ("2.1", (1, 2), ("X",), None),
-        "RRE": ("2.2.1", (1,), (((0, 1), (2,)),), None),
-        "RER": ("2.2.1", (2,), (((0, 2), (1,)),), None),
-        "REE": ("2.2.1", (), ("S",), None),
-        "ERR": ("2.1", (1, 2), ("X",), None),
-        "ERE": ("2.2.1", (1,), (((0, 1), (2,)),), None),
-        "EER": ("2.2.1", (2,), (((0, 2), (1,)),), None),
-        "EEE": ("1", (), ("S",), None),
-    },
-    5: {
-        "RRR": ("2.1", (0, 1), ("X", "X"), None),
-        "RRE": ("2.1", (0, 1), ("X", "X"), None),
-        "RER": ("2.2.1", (0,), ("X", "S"), None),
-        "REE": ("2.2.1", (0,), ("X", "S"), None),
-        "ERR": ("2.2.1", (1,), (((1, 2), (0,)), "X"), None),
-        "ERE": ("2.2.1", (1,), ("S", "X"), None),
-        "EER": ("2.2.1", (), (((1, 2), (0,)), "S"), None),
-        "EEE": ("1", (), ("S", "S"), None),
-    },
-    6: {
-        "RRR": ("2.1", (0,), ("X",), None),
-        "RRE": ("2.1", (0,), ("X",), None),
-        "RER": ("2.1", (0,), ("X",), None),
-        "REE": ("2.1", (0,), ("X",), None),
-        "ERR": ("2.2.2A", (), (((1, 2), (0,)),), None),
-        "ERE": ("2.2.1", (), ("S",), None),
-        "EER": ("2.2.2A", (), (((1, 2), (0,)),), None),
-        "EEE": ("1", (), ("S",), None),
-    },
-    7: {
-        "RRR": ("2.1", (0, 1, 2), ("X", "X", "X"), None),
-        "RRE": ("2.2.1", (0, 1), ("X", "X", "S"), None),
-        "RER": ("2.2.1", (0, 2), ("X", "S", "X"), None),
-        "REE": ("2.2.1", (0,), ("X", "S", "S"), None),
-        "ERR": ("2.2.1", (1, 2), ("S", "X", "X"), None),
-        "ERE": ("2.2.1", (1,), ("S", "X", "S"), None),
-        "EER": ("2.2.1", (2,), ("S", "S", "X"), None),
-        "EEE": ("1", (), ("S", "S", "S"), None),
-    },
-}
-
-FEEDBACK_TRIPLES = tuple("".join(t) for t in product("RE", repeat=3))
-
-
-def run_reference_row(table: int, triple: str) -> dict:
-    """Apply the rules to one reference scenario and compare with the
-    expected action row.  Returns a record with an ok flag and details."""
-    fixture = _FIXTURES[table]
-    expected_case, exp_decoded, exp_actions, exp_merge = _EXPECTED[table][triple]
-    state = synthesize_state(3, fixture)
-    spec = ControlSpec.of(*fixture)
-    sources = [
-        QueueIndex(UserSet.from_iterable(l), UserSet.from_iterable(d))
-        for l, d in fixture
-    ]
-    pids = [state.queue(qi)[0].pid for qi in sources]
-    s = UserSet.from_iterable(u for u, f in enumerate(triple) if f == "R")
-    plan = apply_rpm(state, spec, None, ReceptionOutcome(s))
-
-    problems = []
-    if plan.case.value != expected_case:
-        problems.append(f"case {plan.case.value} != {expected_case}")
-    if tuple(sorted(u for u, _ in plan.decoded)) != exp_decoded:
-        problems.append(f"decoded {sorted(plan.decoded)} != users {exp_decoded}")
-    if (plan.merged is not None) != (exp_merge is not None):
-        problems.append("merge presence mismatch")
-    if exp_merge is not None and plan.merged is not None:
-        want = QueueIndex(
-            UserSet.from_iterable(exp_merge[0]), UserSet.from_iterable(exp_merge[1])
-        )
-        if plan.merged[1] != want:
-            problems.append(f"merge target {plan.merged[1]!r} != {want!r}")
-    for pid, src, action in zip(pids, sources, exp_actions):
-        entries = [m for m in plan.real_moves if m[0] == pid]
-        if action == "S":
-            if entries:
-                problems.append(f"packet {pid} moved, expected stay")
-        elif action == "X":
-            if entries != [(pid, src, None)] or plan.merged is not None:
-                problems.append(f"packet {pid} did not simply leave")
-        elif action == "M":
-            if entries != [(pid, src, None)] or plan.merged is None:
-                problems.append(f"packet {pid} was not merged away")
-        else:
-            want = QueueIndex(
-                UserSet.from_iterable(action[0]), UserSet.from_iterable(action[1])
-            )
-            if entries != [(pid, src, want)]:
-                problems.append(f"packet {pid} moves {entries}, wanted -> {want!r}")
-    if plan.retransmit != (expected_case == "1"):
-        problems.append("retransmit flag mismatch")
-    leftover = audit_state(state, deep=True)
-    if leftover:
-        problems.append(f"state audit failed: {leftover}")
-    return {
-        "table": table,
-        "triple": triple,
-        "case": plan.case.value,
-        "expected_case": expected_case,
-        "ok": not problems,
-        "problems": problems,
-    }
-
-
-def conformance_tables(phase: int, triple) -> list[dict]:
-    """Run every reference scenario of the given phase for one feedback
-    triple; one comparison record per scenario."""
-    key = triple if isinstance(triple, str) else "".join(triple)
-    return [run_reference_row(table, key) for table in PHASE_TABLES[phase]]

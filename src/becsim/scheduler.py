@@ -3,9 +3,11 @@
 For each control, enumerating every reception set against a canonical
 one-packet-per-queue state gives the exact distribution of where each
 pending token goes: stays put, moves to another virtual queue, or reaches
-its destination.  Control selection weighs those transition probabilities
-against the current counter values and picks the control with the largest
-total expected drift.
+its destination.  The tokens are moved by ``apply_rpm`` on that state, so
+these tables are the independent reference for the rows that ``sim``
+folds from ``plan_moves`` alone.  Control selection weighs those
+transition probabilities against the current counter values and picks the
+control with the largest total expected drift.
 """
 
 from __future__ import annotations

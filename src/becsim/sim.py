@@ -13,15 +13,17 @@ identical per-slot metrics from the same seed:
   audits and decode checks do not exist here; cross-engine equality is the
   check instead.
 
-Compiling a catalog runs the movement rules once per (control, reception
-set) to build the delta tables: one route (source, target or None) per
-popped head.  The counts backend and the max-weight rows, folded with the
-reception pmf, both read those routes.  The erasure model holds exact
-values only (a float reads as its decimal), so selection compares the rows
-scaled to integers by the pmf's least common denominator: drift ties are
-exact and cheap, and catalog order breaks them for any input type.  A
-process keeps its last compiled catalog and hands it to the next run with
-the same inputs.
+Compiling a catalog plans the moves of every (control, reception set)
+with ``plan_moves``, set arithmetic with no packet state, and maps the
+routes to queue ids: one route (source, target or None) per popped head.
+The counts backend and the max-weight rows, folded with the reception pmf,
+both read those routes; the object engine carries the same plans out
+through ``apply_rpm``.  The erasure model holds exact values only (a float
+reads as its decimal), so selection compares the rows scaled to integers
+by the pmf's least common denominator: drift ties are exact and cheap, and
+catalog order breaks them for any input type.  A process keeps its last
+compiled catalog and hands it to the next run with the same inputs.  A
+monitor violation names the slot, control, reception set and case.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .core import (
     UserSet,
     audit_state,
 )
-from .movement import ReceptionOutcome, RpmCase, apply_rpm, synthesize_state
+from .movement import ReceptionOutcome, RpmCase, apply_rpm, plan_moves
 
 
 @dataclass
@@ -118,7 +120,7 @@ class RunResult:
 # --- catalog compilation ------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class _Delta:
     case: str
     routes: tuple  # (src, dst | None) per popped head, in pop order
@@ -128,6 +130,7 @@ class _Delta:
 
 @dataclass
 class _CompiledControl:
+    index: int  # position in the catalog
     spec: ControlSpec
     queue_ids: tuple
     required_mask: int
@@ -167,8 +170,8 @@ def _queue_space(n_users: int):
 
 
 def _compile_deltas(catalog: ControlCatalog):
-    """Run the movement rules once per (control, reception set) against a
-    canonical one-packet-per-queue state; the only enumeration of them."""
+    """Plan the moves of every (control, reception set) and map their
+    routes to queue ids; the only enumeration of the movement rules."""
     n_users = catalog.n_users
     cache_key = (n_users, catalog.restriction)
     if cache_key in _DELTA_CACHE:
@@ -176,28 +179,17 @@ def _compile_deltas(catalog: ControlCatalog):
     _, qidx, _, _, _ = _queue_space(n_users)
     out = []
     for spec in catalog:
-        pairs = spec.sorted_pairs
-        entries = [(tuple(q.listeners), tuple(q.destinations)) for q in pairs]
         per_s = {}
         for s_mask in range(1 << n_users):
-            state = synthesize_state(n_users, entries)
-            plan = apply_rpm(
-                state, spec, None, ReceptionOutcome(UserSet(s_mask))
-            )
-            merged_at = plan.merged[1] if plan.merged else None
+            moves = plan_moves(spec, UserSet(s_mask))
             counts = {}
-            for user, _native in plan.decoded:
+            for _qi, user in moves.decoded:
                 counts[user] = counts.get(user, 0) + 1
             per_s[s_mask] = _Delta(
-                case=plan.case.value,
-                # skip the minted composite's own entry; a delivered head's
-                # target is None, which qidx.get keeps
-                routes=tuple(
-                    (qidx[frm], qidx.get(merged_at or to))
-                    for _pid, frm, to in plan.real_moves
-                    if frm is not None
-                ),
-                merged=merged_at is not None,
+                case=moves.case.value,
+                # a delivered head's target is None, which qidx.get keeps
+                routes=tuple((qidx[src], qidx.get(dst)) for src, dst in moves.routes),
+                merged=moves.merged,
                 deliveries=tuple(sorted(counts.items())),
             )
         out.append(per_s)
@@ -267,13 +259,14 @@ def compile_catalog(config: SimConfig) -> _Compiled:
     catalog = enumerate_controls(n, config.restriction)
     queues, qidx, weights, levels, roots = _queue_space(n)
     controls = []
-    for spec in catalog:
+    for index, spec in enumerate(catalog):
         ids = tuple(qidx[qi] for qi in spec.sorted_pairs)
         mask = 0
         for q in ids:
             mask |= 1 << q
         controls.append(
             _CompiledControl(
+                index=index,
                 spec=spec,
                 queue_ids=ids,
                 required_mask=mask,
@@ -372,13 +365,17 @@ class _ObjectQueues:
         config = self.config
         state = self.state
         if _due(config.deep_audit_every, t):
-            self._check(t, deep=True)
+            self._check(t, True, cc.index, s.mask, None)
         plan = apply_rpm(state, cc.spec, None, ReceptionOutcome(s))
         if config.decode_monitor:
             for user, native in plan.decoded:
                 if native.owner != user or native not in state.decoded[user]:
                     raise MonitorViolation(
-                        [f"user {user} failed to decode {native!r}"], slot=t
+                        [f"user {user} failed to decode {native!r}"],
+                        slot=t,
+                        control=cc.index,
+                        received=s.mask,
+                        case=plan.case.value,
                     )
         stored = []
         if config.overhead_monitor:
@@ -398,16 +395,18 @@ class _ObjectQueues:
         for basis in self.state.bases:
             basis.clear()
 
-    def audit(self, t: int) -> None:
+    def audit(self, t: int, control, received, case) -> None:
         # the deep audit runs every shallow check too
         deep = _due(self.config.deep_audit_every, t)
         if deep or _due(self.config.audit_every, t):
-            self._check(t, deep)
+            self._check(t, deep, control, received, case)
 
-    def _check(self, t: int, deep: bool) -> None:
+    def _check(self, t: int, deep: bool, control, received, case) -> None:
         problems = audit_state(self.state, deep=deep)
         if problems:
-            raise MonitorViolation(problems, slot=t)
+            raise MonitorViolation(
+                problems, slot=t, control=control, received=received, case=case
+            )
 
     def totals(self):
         return self.state.q_hat(), self.state.v_hat()
@@ -473,7 +472,7 @@ class _CountQueues:
     def flush(self) -> None:
         pass  # no receiver stores to clear
 
-    def audit(self, t: int) -> None:
+    def audit(self, t: int, control, received, case) -> None:
         pass
 
     def totals(self):
@@ -517,7 +516,7 @@ def run(config: SimConfig, *, windows=()) -> RunResult:
             lengths, nonzero = queues.scan()
             cidx = _select(compiled, lengths, nonzero, config.policy, pol)
         flush = False
-        case = None
+        case = received = None
         overhead = 0
         if cidx is None:
             if config.flush_on_empty and transmitted_since_flush and q_hat == 0:
@@ -537,8 +536,10 @@ def run(config: SimConfig, *, windows=()) -> RunResult:
                         f"{cc.exit_level}"
                     ],
                     slot=t,
+                    control=cidx,
                 )
             s = sample_reception(config.erasure, chan)
+            received = s.mask
             case, deliveries, stored = queues.transmit(cc, s, t)
             transmitted_since_flush = True
             pending = cidx if case == RpmCase.RETRANSMIT.value else None
@@ -550,13 +551,16 @@ def run(config: SimConfig, *, windows=()) -> RunResult:
                         raise MonitorViolation(
                             [f"stored packet of {size} constituents at level {level}"],
                             slot=t,
+                            control=cidx,
+                            received=received,
+                            case=case,
                         )
                     if size > max_stored.get(level, 0):
                         max_stored[level] = size
             overhead_hist[overhead] = overhead_hist.get(overhead, 0) + 1
             if overhead > max_exit.get(cc.exit_level, 0):
                 max_exit[cc.exit_level] = overhead
-        queues.audit(t)
+        queues.audit(t, cidx, received, case)
         batch = sample_arrivals(config.arrivals, arr)
         for user, count in enumerate(batch):
             arrived[user] += count

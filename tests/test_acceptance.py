@@ -24,12 +24,9 @@ from becsim.channel import (
 from becsim.coding import FULL, TABLE8, ControlSpec, enumerate_controls
 from becsim.core import NativePacketId, QueueIndex, UserSet, audit_state
 from becsim.movement import (
-    FEEDBACK_TRIPLES,
-    PHASE_TABLES,
     ReceptionOutcome,
     RpmCase,
     apply_rpm,
-    run_reference_row,
     synthesize_state,
 )
 from becsim.regions import (
@@ -43,6 +40,7 @@ from becsim.regions import (
 )
 from becsim.scheduler import DELIVERED, TransitionTable, derive_transitions
 from becsim.sim import SimConfig, run, stability_probe
+from reference_rows import FEEDBACK_TRIPLES, PHASE_TABLES, run_reference_row
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -197,6 +197,41 @@ class TestSamplingThresholds:
         for u in draws:
             assert (m.sample(_Draws([u])) == U(0)) == (u >= F("0.7")), u
 
+    def test_float_arrival_rate_follows_its_decimal(self):
+        # as for ε: the draw u = 0.7 is an arrival at rate 7/10, for the
+        # float, its Fraction twin and the command line's --lambda 0.7 alike
+        draws = sorted(set(_draws_around(0.7) + _draws_around(F("0.7"))))
+        assert 0.7 in draws
+        args = _build_parser().parse_args(["simulate", "--n", "1", "--lambda", "0.7"])
+        twins = [
+            ArrivalModel.bernoulli([0.7]),
+            ArrivalModel.bernoulli([F(7, 10)]),
+            _sim_config(_document(args)).arrivals,
+        ]
+        for u in draws:
+            assert {m.sample(_Draws([u])) for m in twins} == {(int(u < F("0.7")),)}, u
+
+    def test_float_arrival_rates_sample_as_their_fraction_twins(self):
+        rng = random.Random("arrival-twins")
+        rates = [0.3, 0.25, 0.7, 0.1, 1 / 3, 2 / 3]
+        rates += [rng.random() for _ in range(200)]
+        for rate in rates:
+            twins = [ArrivalModel.bernoulli([r]) for r in (rate, exact(rate))]
+            for u in _draws_around(rate) + _draws_around(exact(rate)):
+                samples = {m.sample(_Draws([u])) for m in twins}
+                assert len(samples) == 1, (rate, u)
+
+    def test_float_arrival_pmf_samples_as_its_fraction_twin(self):
+        vecs = [(0, 0), (1, 0), (0, 1), (1, 1)]
+        floats = ArrivalModel.joint(2, dict(zip(vecs, (0.1, 0.2, 0.3, 0.4))))
+        fractions = ArrivalModel.joint(
+            2, dict(zip(vecs, (F(1, 10), F(1, 5), F(3, 10), F(2, 5))))
+        )
+        assert floats.rates == fractions.rates == (F(3, 5), F(7, 10))
+        a, b = make_rng(5, "twin"), make_rng(5, "twin")
+        draws = range(2000)
+        assert [floats.sample(a) for _ in draws] == [fractions.sample(b) for _ in draws]
+
     def test_per_user_list(self):
         eps = [F(1, 3), F(2, 7), F(999, 1000)]
         m = ErasureModel.iid(3, eps)

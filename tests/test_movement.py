@@ -1,11 +1,14 @@
 """Movement-rule tests: the 56 reference action rows for three users, the
-two multi-pair walkthrough scenarios, and randomized invariant checks."""
+two multi-pair walkthrough scenarios, randomized invariant checks, and the
+planner checked against plans carried out on a state."""
 
+import hashlib
 import random
+from collections import Counter
 
 import pytest
 
-from becsim.coding import ControlSpec, enumerate_controls
+from becsim.coding import FULL, TABLE8, ControlSpec, enumerate_controls
 from becsim.core import (
     NativePacketId,
     QueueIndex,
@@ -14,17 +17,21 @@ from becsim.core import (
     validate_cc,
 )
 from becsim.movement import (
-    FEEDBACK_TRIPLES,
-    PHASE_TABLES,
     MovementPlan,
     ReceptionOutcome,
     RpmCase,
     apply_rpm,
-    conformance_tables,
     overhead_of,
-    run_reference_row,
+    plan_moves,
     synthesize_state,
     tilde_l,
+)
+from becsim.sim import _compile_deltas, _Delta, _queue_space
+from reference_rows import (
+    FEEDBACK_TRIPLES,
+    PHASE_TABLES,
+    conformance_tables,
+    run_reference_row,
 )
 
 
@@ -273,3 +280,111 @@ def check_plan_invariants(plan: MovementPlan, state):
     if plan.case is RpmCase.MERGE and plan.merged is not None:
         merged_pid, target = plan.merged
         assert any(p.pid == merged_pid for p in state.queue(target))
+
+
+def executed_moves(n_users, spec, s):
+    """apply_rpm on a canonical one-packet-per-queue state, audited; returns
+    its MovementPlan and the routes read back from real_moves."""
+    entries = [(tuple(q.listeners), tuple(q.destinations)) for q in spec.sorted_pairs]
+    state = synthesize_state(n_users, entries)
+    plan = apply_rpm(state, spec, None, ReceptionOutcome(s))
+    assert audit_state(state, deep=True) == [], (spec, s)
+    merged_at = plan.merged[1] if plan.merged else None
+    # the minted composite's own entry is no route; merged heads go to it
+    routes = tuple(
+        (frm, merged_at or to) for _pid, frm, to in plan.real_moves if frm is not None
+    )
+    return plan, routes
+
+
+def reference_deltas(catalog):
+    """The delta tables derived from executed state, one synthesized state
+    per (control, reception set), as the compile built them before it read
+    the planner."""
+    n_users = catalog.n_users
+    qidx = _queue_space(n_users)[1]
+    out = []
+    for spec in catalog:
+        per_s = {}
+        for mask in range(1 << n_users):
+            plan, routes = executed_moves(n_users, spec, UserSet(mask))
+            counts = Counter(user for user, _native in plan.decoded)
+            per_s[mask] = _Delta(
+                case=plan.case.value,
+                routes=tuple((qidx[frm], qidx.get(to)) for frm, to in routes),
+                merged=plan.merged is not None,
+                deliveries=tuple(sorted(counts.items())),
+            )
+        out.append(per_s)
+    return out
+
+
+def plan_digest(n_users, restriction) -> str:
+    rows = [
+        (m.case.value, m.s_effective.mask, m.routes, m.merged, m.decoded)
+        for spec in enumerate_controls(n_users, restriction)
+        for m in (plan_moves(spec, UserSet(mask)) for mask in range(1 << n_users))
+    ]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+# sha256 of the repr of every (control, reception set)'s case, effective S,
+# routes, merge flag and decoded (pair, user)s in catalog and mask order, as
+# apply_rpm carried them out on synthesized states before the planner existed
+PINNED_PLANS = {
+    (1, FULL): "1ccc32ae9b0069f541bfd64d7e4b62706a05aaa5466277a13dd83aeb9acc3463",
+    (2, FULL): "95f73107e5d740093ba2a9d143b4f7f1e5c00f0819fc51da253c68696795ce12",
+    (3, FULL): "a43b5926feba468399de1d80cbccdfd007b544b3fd77fc02a848e132572af8ba",
+    (4, FULL): "cd50e3290ee1f72926a2ea60e52d93098745ae2cc119244c5a5c6da839a35018",
+    (4, TABLE8): "7962653511e3d4cec5864e1242a6f494acea77947b393c955bed87031678ca76",
+    (5, FULL): "6796659d2fc1094d9ee3f0b6c8231f8dc609326c2c2a2575ab15388df7342860",
+}
+
+PLANNED_CATALOGS = [
+    (1, FULL),
+    (2, FULL),
+    (3, FULL),
+    (4, FULL),
+    (4, TABLE8),
+    pytest.param(5, FULL, marks=pytest.mark.slow),
+]
+
+
+class TestPlanner:
+    @pytest.mark.parametrize("n_users, restriction", PLANNED_CATALOGS)
+    def test_plan_matches_executed_state(self, n_users, restriction):
+        for spec in enumerate_controls(n_users, restriction):
+            for mask in range(1 << n_users):
+                s = UserSet(mask)
+                moves = plan_moves(spec, s)
+                plan, routes = executed_moves(n_users, spec, s)
+                where = (spec, s)
+                assert moves.case is plan.case, where
+                assert moves.s_effective == plan.s_effective, where
+                assert moves.routes == routes, where
+                assert moves.merged == (plan.merged is not None), where
+                if moves.merged:
+                    assert {dst for _src, dst in moves.routes} == {plan.merged[1]}
+                assert [i for _qi, i in moves.decoded] == [
+                    user for user, _native in plan.decoded
+                ], where
+                assert list(moves.decoded) == [
+                    src for _native, src, dst in plan.token_moves if dst is None
+                ], where
+
+    @pytest.mark.parametrize("n_users, restriction", PLANNED_CATALOGS)
+    def test_compiled_deltas_match_executed_state(self, n_users, restriction):
+        catalog = enumerate_controls(n_users, restriction)
+        assert _compile_deltas(catalog) == reference_deltas(catalog)
+
+    @pytest.mark.parametrize("n_users, restriction", PLANNED_CATALOGS)
+    def test_plans_pinned(self, n_users, restriction):
+        assert plan_digest(n_users, restriction) == PINNED_PLANS[n_users, restriction]
+
+    def test_shrink_planned_from_sets_alone(self):
+        spec = ControlSpec.of(*EX2_PAIRS)
+        moves = plan_moves(spec, U(1, 6))
+        assert moves.case is RpmCase.SHRINK and moves.s_effective == U(1)
+        assert moves.routes == ((QI((0, 2, 4), (1, 3)), QI((0, 1, 2, 4), (3,))),)
+        assert moves.decoded == ((QI((0, 2, 4), (1, 3)), 1),)
+        assert not moves.merged

@@ -536,6 +536,97 @@ class TestMonitorWiring:
             queues.transmit(cc, UserSet(), 10)
         assert err.value.slot == 10
 
+    def test_entry_deep_audit_carries_control(self):
+        config = make_config(n=2, deep_audit_every=5, seed="entry")
+        compiled = compile_catalog(config)
+        queues = _ObjectQueues(config, compiled)
+        queues.arrive(0, 1)
+        root = QueueIndex(UserSet(), UserSet.of(0))
+        (packet,) = queues.state.queue(root)
+        queues.state.bases[0].insert(packet.constituents)
+        cc = next(c for c in compiled.controls if c.spec.sorted_pairs == (root,))
+        with pytest.raises(MonitorViolation) as err:
+            queues.transmit(cc, UserSet.of(1), 10)
+        v = err.value
+        # the entry audit runs before the heads move: no case yet
+        assert (v.control, v.received, v.case) == (cc.index, 0b10, None)
+        assert compiled.controls[v.control] is cc
+        assert "at slot 10 (control" in str(v)
+
+    # the run without the failing monitor shows what the failing slot did
+    CONTEXT = dict(n=2, horizon=200, eps=0.5, rates=(0.3, 0.3), seed="ctx")
+
+    def assert_context(self, err, free, stage):
+        v = err.value
+        row = free.trace[v.slot]
+        assert v.control == row.control is not None
+        if stage == "selected":
+            assert v.received is None and v.case is None
+            head = f"monitor violation at slot {v.slot} (control {v.control}):"
+            assert str(v).startswith(head)
+            return
+        assert v.case == row.case
+        assert isinstance(v.received, int) and 0 <= v.received < 4
+        assert v.case != "1" or v.received == 0
+        assert f"(control {v.control}, received {v.received}, case {v.case})" in str(v)
+
+    @pytest.mark.parametrize("engine", ["object", "counts"])
+    def test_stored_cap_violation_carries_context(self, engine, monkeypatch):
+        import becsim.sim as sim_mod
+
+        free = run(make_config(engine=engine, **self.CONTEXT))
+        monkeypatch.setattr(sim_mod, "_stored_cap", lambda level: 0)
+        with pytest.raises(MonitorViolation) as err:
+            run(make_config(engine=engine, **self.CONTEXT))
+        self.assert_context(err, free, "moved")
+        assert err.value.case in ("2.2.1", "2.2.2A", "2.2.2B")
+
+    @pytest.mark.parametrize("engine", ["object", "counts"])
+    def test_exit_overhead_violation_carries_control(self, engine, monkeypatch):
+        import becsim.sim as sim_mod
+
+        free = run(make_config(engine=engine, **self.CONTEXT))
+        monkeypatch.setattr(sim_mod, "factorial", lambda k: 0)
+        with pytest.raises(MonitorViolation) as err:
+            run(make_config(engine=engine, **self.CONTEXT))
+        self.assert_context(err, free, "selected")
+
+    def test_decode_violation_carries_context(self, monkeypatch):
+        import becsim.sim as sim_mod
+
+        free = run(make_config(**self.CONTEXT))
+        real = sim_mod.apply_rpm
+
+        def forgetful(state, spec, chosen, outcome):
+            plan = real(state, spec, chosen, outcome)
+            for user, native in plan.decoded:
+                state.decoded[user].discard(native)
+            return plan
+
+        monkeypatch.setattr(sim_mod, "apply_rpm", forgetful)
+        with pytest.raises(MonitorViolation) as err:
+            run(make_config(**self.CONTEXT))
+        self.assert_context(err, free, "moved")
+        assert "failed to decode" in str(err.value)
+
+    def test_slot_audit_violation_carries_context(self, monkeypatch):
+        import becsim.sim as sim_mod
+
+        config = dict(self.CONTEXT, deep_audit_every=0)
+        free = run(make_config(**config))
+        busy = next(row.t for row in free.trace if row.control is not None)
+        calls = {"n": 0}
+
+        def tripwire(state, deep=False):
+            calls["n"] += 1
+            return ["synthetic failure"] if calls["n"] > busy else []
+
+        monkeypatch.setattr(sim_mod, "audit_state", tripwire)
+        with pytest.raises(MonitorViolation) as err:
+            run(make_config(**config))
+        assert err.value.slot == busy
+        self.assert_context(err, free, "moved")
+
 
 class TestStabilityProbe:
     def test_two_sided_verdicts(self):
