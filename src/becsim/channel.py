@@ -71,6 +71,7 @@ class ErasureModel:
         self.eps = None if eps is None else tuple(map(exact, eps))
         self._thresholds = None if eps is None else tuple(map(_threshold, self.eps))
         self._pmf = None if pmf is None else {m: exact(p) for m, p in pmf.items()}
+        self._entries = None
         self._table = None if pmf is None else _sampling_table(self.pmf())
 
     @classmethod
@@ -106,7 +107,13 @@ class ErasureModel:
         return cls(n_users, None, table)
 
     def pmf(self) -> Iterator[tuple[UserSet, object]]:
-        """All (reception set, probability) entries, zero-mass sets omitted."""
+        """All (reception set, probability) entries, zero-mass sets omitted;
+        built on the first call and kept."""
+        if self._entries is None:
+            self._entries = tuple(self._build_pmf())
+        return iter(self._entries)
+
+    def _build_pmf(self) -> Iterator[tuple[UserSet, object]]:
         if self._pmf is not None:
             for mask in sorted(self._pmf):
                 p = self._pmf[mask]

@@ -175,6 +175,9 @@ def _config_doc(config: SimConfig) -> dict:
                 ",".join(str(u) for u in s): str(p) for s, p in model.pmf()
             }
         }
+    if config.arrivals._table is not None:
+        # the trace reader knows Bernoulli arrivals only
+        raise ConfigError("a JSON trace records Bernoulli arrivals only")
     doc["arrivals"] = {"bernoulli": [str(r) for r in config.arrivals.rates]}
     if not isinstance(config.seed, int):
         doc["seed"] = str(config.seed)

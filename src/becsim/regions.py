@@ -521,28 +521,53 @@ def simplify_inequalities(
         kept.append(norm)
     if not assume_nonneg:
         return kept
-    # pairwise dominance for unit-rhs rows: on nonnegative points a row with
-    # larger coefficients everywhere is the tighter constraint
-    out: list[LinearIneq] = []
+    # dominance for unit-rhs rows: on nonnegative points a row with larger
+    # coefficients everywhere is the tighter constraint.  Row a can dominate
+    # row b only if a > 0 wherever b - tol > 0 and a < -tol only where b < 0,
+    # so per-variable bitmasks over row indexes pick the rows worth checking.
     rows = [a.as_dict() for a in kept]
+    unit, positive_at, below_at = 0, {}, {}
+    for idx, (a, av) in enumerate(zip(kept, rows)):
+        if a.rhs > tol:
+            unit |= 1 << idx
+            for v, c in av.items():
+                if c > 0:
+                    positive_at[v] = positive_at.get(v, 0) | 1 << idx
+                if c < -tol:
+                    below_at[v] = below_at.get(v, 0) | 1 << idx
+    # c - tol is c itself for an exact zero tol; a float 0.0 makes c a float
+    shifted = tol != 0 or isinstance(tol, float)
+    out: list[LinearIneq] = []
     for idx, b in enumerate(kept):
-        if b.rhs <= tol:
+        if not unit >> idx & 1:
             out.append(b)
             continue
         bv = rows[idx]
-        dominated = False
-        for jdx, a in enumerate(kept):
-            if jdx == idx or a.rhs <= tol:
-                continue
+        low = {v: c - tol for v, c in bv.items()} if shifted else bv
+        candidates = unit & ~(1 << idx)
+        for v, t in low.items():
+            if t > 0:
+                candidates &= positive_at.get(v, 0)
+        for v, mask in below_at.items():
+            if not bv.get(v, 0) < 0:
+                candidates &= ~mask
+        high = None
+        while candidates:
+            jdx = (candidates & -candidates).bit_length() - 1
+            candidates &= candidates - 1
             av = rows[jdx]
-            names = set(av) | set(bv)
-            if not all(av.get(v, 0) >= bv.get(v, 0) - tol for v in names):
+            # off b's support, a >= -tol already holds by the masks
+            if not all(av.get(v, 0) >= t for v, t in low.items()):
                 continue
-            strict = any(av.get(v, 0) > bv.get(v, 0) + tol for v in names)
-            if strict or jdx < idx:
-                dominated = True
+            if jdx < idx:
                 break
-        if not dominated:
+            if high is None:
+                high = {v: c + tol for v, c in bv.items()} if shifted else bv
+            if any(av.get(v, 0) > t for v, t in high.items()) or any(
+                c > tol for v, c in av.items() if v not in bv
+            ):
+                break
+        else:
             out.append(b)
     return out
 

@@ -5,7 +5,10 @@ one-packet-per-queue state gives the exact distribution of where each
 pending token goes: stays put, moves to another virtual queue, or reaches
 its destination.  The tokens are moved by ``apply_rpm`` on that state, so
 these tables are the independent reference for the rows that ``sim``
-folds from ``plan_moves`` alone.  Control selection weighs those
+folds from ``plan_moves`` alone.  Where the tokens land depends only on
+the control and the reception set, so a per-process memo keeps each
+landing once and every erasure model's pmf is folded over the memo, as
+``sim`` does with its delta tables.  Control selection weighs those
 transition probabilities against the current counter values and picks the
 control with the largest total expected drift.
 """
@@ -31,6 +34,37 @@ def control_nodes(spec: ControlSpec) -> list[tuple[QueueIndex, int]]:
     return [(qi, i) for qi in spec.sorted_pairs for i in qi.destinations]
 
 
+_LANDING_CACHE: dict = {}
+
+
+def _landings(spec: ControlSpec, nodes, n_users: int, s, pad_constituents):
+    """Where each of the control's nodes lands under reception set s,
+    aligned with nodes; ``apply_rpm`` runs once per key in a process."""
+    key = (n_users, spec, s.mask, pad_constituents)
+    landings = _LANDING_CACHE.get(key)
+    if landings is None:
+        state = synthesize_state(
+            n_users,
+            [
+                (tuple(qi.listeners), tuple(qi.destinations), pad_constituents)
+                for qi in spec.sorted_pairs
+            ],
+        )
+        native_node = {}
+        for qi in spec.sorted_pairs:
+            pkt = state.queue(qi)[0]
+            for i in qi.destinations:
+                native_node[state.find_token(qi, i, pkt.pid).native] = (qi, i)
+        plan = apply_rpm(state, spec, None, ReceptionOutcome(s))
+        landed = {}
+        for native, _src, dst in plan.token_moves:
+            landed[native_node[native]] = DELIVERED if dst is None else dst
+        # untouched tokens stay put
+        landings = tuple(landed.get(node, node) for node in nodes)
+        _LANDING_CACHE[key] = landings
+    return landings
+
+
 def derive_transitions(
     spec: ControlSpec, model: ErasureModel, *, pad_constituents: int = 0
 ) -> dict:
@@ -41,27 +75,12 @@ def derive_transitions(
     """
     assert validate_bcr(spec)
     nodes = control_nodes(spec)
-    edges: dict = {node: {} for node in nodes}
-    entries = [
-        (tuple(qi.listeners), tuple(qi.destinations), pad_constituents)
-        for qi in spec.sorted_pairs
-    ]
+    buckets = [{} for _ in nodes]
     for s, prob in model.pmf():
-        state = synthesize_state(model.n_users, entries)
-        native_node = {}
-        for qi in spec.sorted_pairs:
-            pkt = state.queue(qi)[0]
-            for i in qi.destinations:
-                native_node[state.find_token(qi, i, pkt.pid).native] = (qi, i)
-        plan = apply_rpm(state, spec, None, ReceptionOutcome(s))
-        landed = {}
-        for native, _src, dst in plan.token_moves:
-            landed[native_node[native]] = DELIVERED if dst is None else dst
-        for node in nodes:
-            target = landed.get(node, node)  # untouched tokens stay put
-            bucket = edges[node]
+        landings = _landings(spec, nodes, model.n_users, s, pad_constituents)
+        for target, bucket in zip(landings, buckets):
             bucket[target] = bucket.get(target, 0) + prob
-    return edges
+    return dict(zip(nodes, buckets))
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,21 @@ class TestPGs:
                     continue
                 assert p_gs(iid, g, s) == p_gs(joint, g, s)
 
+    def test_pmf_built_lazily_and_kept(self, monkeypatch):
+        builds = []
+        build = ErasureModel._build_pmf
+        monkeypatch.setattr(
+            ErasureModel, "_build_pmf", lambda m: builds.append(m) or build(m)
+        )
+        ErasureModel.iid(16, F(1, 3))
+        assert not builds  # construction computes none of the 2**16 products
+        model = ErasureModel.iid(3, [F(1, 3), F(2, 5), F(1, 7)])
+        first = list(model.pmf())
+        assert list(model.pmf()) == first
+        assert len(builds) == 1
+        assert [s.mask for s, _ in first] == list(range(8))
+        assert first[5][1] == F(2, 3) * F(2, 5) * F(6, 7)
+
     def test_joint_matches_oracle(self):
         rng = random.Random("pgs-oracle")
         weights = [rng.randrange(1, 20) for _ in range(8)]

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from becsim.channel import ArrivalModel, ErasureModel
 from becsim.cli import _config_doc, _sim_config, main
 from becsim.coding import TABLE8
-from becsim.core import MonitorViolation
+from becsim.core import ConfigError, MonitorViolation
 from becsim.sim import SimConfig
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -148,6 +148,19 @@ class TestReplay:
                 assert getattr(config, field.name) != field.default, field.name
         doc = _config_doc(config)
         assert _config_doc(_sim_config(json.loads(json.dumps(doc)))) == doc
+
+    def test_joint_arrivals_are_not_written_as_bernoulli(self, tmp_path, capsys):
+        config = SimConfig(
+            n_users=2,
+            horizon=20,
+            erasure=ErasureModel.iid(2, F(1, 2)),
+            arrivals=ArrivalModel.joint(2, {(0, 0): 1 / 2, (2, 1): 1 / 2}),
+        )
+        with pytest.raises(ConfigError, match="Bernoulli"):
+            _config_doc(config)
+        with mock.patch("becsim.cli._sim_config", return_value=config):
+            assert main(simulate_args(tmp_path)) == 1
+        assert "config error:" in capsys.readouterr().err
 
 
 class TestDeriveTable:

@@ -500,3 +500,108 @@ class TestFourierMotzkin:
         # the symmetric boundary point of that region
         assert poly.contains({"lam0": F(3, 10), "lam1": F(3, 10)}, tol=0)
         assert not poly.contains({"lam0": F(31, 100), "lam1": F(3, 10)}, tol=0)
+
+
+def pairwise_simplify(ineqs, *, assume_nonneg=True, tol=1e-9):
+    """Reference for ``simplify_inequalities``: the same normalisation and
+    deduplication, then dominance checked over every ordered pair."""
+    kept = normalised_rows(ineqs, assume_nonneg, tol)
+    return pairwise_dominance(kept, tol) if assume_nonneg else kept
+
+
+def normalised_rows(ineqs, assume_nonneg, tol):
+    kept = []
+    seen = set()
+    for row in ineqs:
+        if not row.coeffs:
+            if row.rhs < -tol:
+                kept.append(row)
+            continue
+        if assume_nonneg and row.rhs >= 0 and all(c <= 0 for _, c in row.coeffs):
+            continue
+        norm = row.normalized()
+        key = (norm.coeffs, str(norm.rhs))
+        if key not in seen:
+            seen.add(key)
+            kept.append(norm)
+    return kept
+
+
+def pairwise_dominance(kept, tol):
+    out = []
+    for idx, b in enumerate(kept):
+        bv = b.as_dict()
+        dominated = False
+        for jdx, a in enumerate(kept):
+            if b.rhs <= tol:
+                break
+            if jdx == idx or a.rhs <= tol:
+                continue
+            av = a.as_dict()
+            names = set(av) | set(bv)
+            if all(av.get(v, 0) >= bv.get(v, 0) - tol for v in names):
+                strict = any(av.get(v, 0) > bv.get(v, 0) + tol for v in names)
+                if strict or jdx < idx:
+                    dominated = True
+                    break
+        if not dominated:
+            out.append(b)
+    return out
+
+
+def random_rows(rng, exact):
+    """Rows over four variables whose coefficients repeat often and sit on
+    both sides of each tolerance, so ties and near-ties are common."""
+    if exact:
+        values = [F(k, 4) for k in range(-4, 9)] + [F(1, 10**10), F(-1, 20)]
+        nudges = [F(1, 10**10), F(-1, 10**10), F(3, 100), F(-3, 100)]
+        rhs_values = [F(-1), F(0), F(1), F(2), F(1, 2)]
+    else:
+        values = [k / 4 for k in range(-4, 9)] + [1e-10, -0.05, 0.03]
+        nudges = [1e-10, -1e-10, 0.03, -0.03]
+        rhs_values = [-1.0, 0.0, 1.0, 2.0, 0.5]
+    rows = []
+    for _ in range(rng.randrange(1, 25)):
+        if rows and rng.random() < 0.3:
+            # a near copy of an earlier row: one coefficient nudged
+            base = rng.choice(rows)
+            coeffs = base.as_dict()
+            v = rng.choice("wxyz")
+            coeffs[v] = coeffs.get(v, 0) + rng.choice(nudges)
+            rows.append(LinearIneq.of(coeffs, base.rhs))
+            continue
+        coeffs = {v: rng.choice(values) for v in "wxyz" if rng.random() < 0.6}
+        if rng.random() < 0.3:
+            coeffs = {v: abs(c) for v, c in coeffs.items()}
+        rows.append(LinearIneq.of(coeffs, rng.choice(rhs_values)))
+    return rows
+
+
+class TestSimplifyInequalities:
+    @pytest.mark.parametrize("tol", [0, 1e-9, 0.05])
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_matches_pairwise_reference(self, tol, exact):
+        rng = random.Random(f"simplify/{tol}/{exact}")
+        dominated = 0
+        for _ in range(300):
+            rows = random_rows(rng, exact)
+            for nonneg in (True, False):
+                want = pairwise_simplify(rows, assume_nonneg=nonneg, tol=tol)
+                got = regions.simplify_inequalities(
+                    rows, assume_nonneg=nonneg, tol=tol
+                )
+                assert got == want
+            kept = normalised_rows(rows, True, tol)
+            dominated += len(kept) - len(pairwise_dominance(kept, tol))
+        assert dominated > 100  # the dominance pass did real work
+
+    def test_contradictions_kept_in_place(self):
+        rows = [
+            ineq({"x": 1}, 1),
+            LinearIneq.of({}, -1),
+            ineq({"x": 2}, 1),
+            LinearIneq.of({}, 0),
+        ]
+        got = regions.simplify_inequalities(rows, tol=0)
+        assert got == pairwise_simplify(rows, tol=0)
+        assert got == [LinearIneq.of({}, -1), ineq({"x": F(2)}, F(1))]

@@ -9,6 +9,7 @@ import pathlib
 import random
 from fractions import Fraction as F
 
+from becsim import scheduler
 from becsim.channel import ErasureModel, make_rng
 from becsim.coding import ControlSpec, enumerate_controls
 from becsim.core import QueueIndex, UserSet
@@ -124,6 +125,34 @@ class TestDeriveTransitions:
             assert derive_transitions(spec, model) == derive_transitions(
                 spec, model, pad_constituents=2
             )
+
+    def test_memo_changes_nothing(self, monkeypatch):
+        model = rational_joint(3, "memo")
+        catalog = enumerate_controls(3)
+        warm = [derive_transitions(spec, model) for spec in catalog]
+        monkeypatch.setattr(scheduler, "_LANDING_CACHE", {})
+        cold = [derive_transitions(spec, model) for spec in catalog]
+        assert cold == warm
+        assert [derive_transitions(spec, model) for spec in catalog] == warm
+
+    def test_padding_synthesizes_its_own_states(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return synthesize_state(*args)
+
+        monkeypatch.setattr(scheduler, "synthesize_state", counted)
+        monkeypatch.setattr(scheduler, "_LANDING_CACHE", {})
+        model = rational_joint(3, "padding")
+        spec = enumerate_controls(3)[-1]
+        derive_transitions(spec, model)
+        calls.clear()
+        derive_transitions(spec, model)
+        assert not calls  # a warm memo synthesizes nothing
+        derive_transitions(spec, model, pad_constituents=2)
+        assert len(calls) == 1 << 3
+        assert all(pad == 2 for _, entries in calls for *_, pad in entries)
 
     def test_certain_erasure_self_loops(self):
         model = ErasureModel.iid(3, 1)
