@@ -33,12 +33,21 @@ class MonitorViolation(Exception):
         self.control = control  # catalog index of the slot's control
         self.received = received  # the slot's reception set, as a mask
         self.case = case  # movement case label, once the heads have moved
-        where = f" at slot {slot}" if slot is not None else ""
-        fields = (("control", control), ("received", received), ("case", case))
+        self.seed = None  # the run's seed; sim.run fills it in
+        super().__init__(self.violations)
+
+    def __str__(self):
+        where = f" at slot {self.slot}" if self.slot is not None else ""
+        fields = (
+            ("control", self.control),
+            ("received", self.received),
+            ("case", self.case),
+        )
         context = [f"{name} {value}" for name, value in fields if value is not None]
         if context:
             where += f" ({', '.join(context)})"
-        super().__init__(f"monitor violation{where}: " + "; ".join(self.violations))
+        seed = f" (seed {self.seed!r})" if self.seed is not None else ""
+        return f"monitor violation{where}: " + "; ".join(self.violations) + seed
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,17 @@ through ``apply_rpm``.  The erasure model holds exact values only (a float
 reads as its decimal), so selection compares the rows scaled to integers
 by the pmf's least common denominator: drift ties are exact and cheap, and
 catalog order breaks them for any input type.  A process keeps its last
-compiled catalog and hands it to the next run with the same inputs.  A
-monitor violation names the slot, control, reception set and case.
+compiled catalog and hands it to the next run with the same inputs.
+
+Selection is incremental.  The compile keeps, per queue id, a readers mask:
+the controls whose rows read that queue as a source or a target.  Each
+backend's ``scan`` also returns the mask of queue ids whose length changed
+since the last scan, and a run keeps a reward memo: every control's int
+reward, a dirty mask of controls whose reward may be stale (the readers of
+the changed queues), and the eligible list with the non-empty mask it was
+built for.  A slot recomputes only the dirty eligible rewards, so selection
+stays exact and picks what a full recomputation picks.  A monitor violation
+names the slot, control, reception set, case and the run's seed.
 """
 
 from __future__ import annotations
@@ -148,6 +157,7 @@ class _Compiled:
     roots: tuple  # queue id of Q^{}_{i} per user
     controls: list
     scale: int  # the pmf's least common denominator; 1 without rows
+    readers: tuple  # per queue id, the mask of controls whose rows read it
 
 
 _SPACE_CACHE: dict = {}
@@ -281,38 +291,87 @@ def compile_catalog(config: SimConfig) -> _Compiled:
         for cc in controls:
             cc.node_terms = _fold_terms(queues, cc, pmf)
         scale = _scale_terms(controls, pmf)
-    compiled = _Compiled(queues, weights, levels, roots, controls, scale)
+    readers = [0] * len(queues)
+    for cc in controls:
+        bit = 1 << cc.index
+        for src, row in cc.scaled_terms:
+            readers[src] |= bit
+            for tgt, _p in row:
+                readers[tgt] |= bit
+    compiled = _Compiled(
+        queues, weights, levels, roots, controls, scale, tuple(readers)
+    )
     _LAST_COMPILED[:] = key, compiled
     return compiled
 
 
-def _select(compiled: _Compiled, lengths, nonzero_mask, policy, rng):
+class _SelectMemo:
+    """One run's selection state: the int reward of every control, the mask
+    of controls whose reward may be stale, and the eligible controls (list
+    and mask) for the non-empty mask they were built for."""
+
+    __slots__ = (
+        "readers", "rewards", "dirty", "nonzero", "eligible", "eligible_mask"
+    )
+
+    def __init__(self, compiled: _Compiled):
+        self.readers = compiled.readers
+        self.rewards = [0] * len(compiled.controls)
+        self.dirty = (1 << len(compiled.controls)) - 1
+        self.nonzero = None
+        self.eligible = []
+        self.eligible_mask = 0
+
+    def touch(self, changed: int) -> None:
+        """Mark stale every control that reads a queue in the changed mask."""
+        readers = self.readers
+        dirty = self.dirty
+        while changed:
+            low = changed & -changed
+            dirty |= readers[low.bit_length() - 1]
+            changed ^= low
+        self.dirty = dirty
+
+
+def _select(compiled: _Compiled, lengths, nonzero_mask, policy, rng, memo=None):
     """The first eligible control of largest reward, all rewards times
-    compiled.scale (exact ints)."""
-    controls = compiled.controls
-    scale = compiled.scale
-    eligible = [
-        idx
-        for idx, cc in enumerate(controls)
-        if cc.required_mask & nonzero_mask == cc.required_mask
-    ]
+    compiled.scale (exact ints).  A memo carries rewards from the last call;
+    without one every reward is computed."""
+    if memo is None:
+        memo = _SelectMemo(compiled)
+    if memo.nonzero != nonzero_mask:
+        eligible = [
+            cc.index
+            for cc in compiled.controls
+            if cc.required_mask & nonzero_mask == cc.required_mask
+        ]
+        memo.nonzero = nonzero_mask
+        memo.eligible = eligible
+        memo.eligible_mask = sum(1 << idx for idx in eligible)
+    eligible = memo.eligible
     if not eligible:
         return None
     if policy == "random":
         return eligible[rng.randrange(len(eligible))]
-    best = None
-    best_reward = None
-    for idx in eligible:
-        reward = 0
-        for src, row in controls[idx].scaled_terms:
-            drift = scale * lengths[src]
-            for tgt, p in row:
-                drift -= p * lengths[tgt]
-            if drift > 0:
-                reward += drift
-        if best is None or reward > best_reward:
-            best, best_reward = idx, reward
-    return best
+    rewards = memo.rewards
+    todo = memo.dirty & memo.eligible_mask
+    if todo:
+        memo.dirty ^= todo
+        controls = compiled.controls
+        scale = compiled.scale
+        while todo:
+            low = todo & -todo
+            idx = low.bit_length() - 1
+            todo ^= low
+            reward = 0
+            for src, row in controls[idx].scaled_terms:
+                drift = scale * lengths[src]
+                for tgt, p in row:
+                    drift -= p * lengths[tgt]
+                if drift > 0:
+                    reward += drift
+            rewards[idx] = reward
+    return max(eligible, key=rewards.__getitem__)
 
 
 # --- engines -------------------------------------------------------------------
@@ -339,16 +398,24 @@ class _ObjectQueues:
         self.n_queues = len(compiled.queues)
         self.qidx = _queue_space(config.n_users)[1]
         self.state = NetworkState(config.n_users)
+        self.last = [0] * self.n_queues, 0  # lengths and nonzero at the last scan
 
     def scan(self):
-        """Queue lengths in queue-id order and the mask of non-empty ids."""
+        """Queue lengths in queue-id order, the mask of non-empty ids and the
+        mask of ids whose length changed since the last scan."""
         lengths = [0] * self.n_queues
-        nonzero = 0
+        last, last_nonzero = self.last
+        nonzero = changed = 0
         for qi, packets in self.state.real_queues.items():
             k = self.qidx[qi]
-            lengths[k] = len(packets)
+            lengths[k] = size = len(packets)
             nonzero |= 1 << k
-        return lengths, nonzero
+            if size != last[k]:
+                changed |= 1 << k
+        # an emptied queue has no entry in real_queues
+        changed |= last_nonzero & ~nonzero
+        self.last = lengths, nonzero
+        return lengths, nonzero, changed
 
     def head_size(self, cc: _CompiledControl) -> int:
         """Constituent count of the XOR of the control's head packets."""
@@ -425,12 +492,27 @@ class _CountQueues:
         self.levels = compiled.levels
         self.roots = compiled.roots
         self.lengths = [0] * nq
+        self.last = [0] * nq  # lengths at the last scan, for touched ids
         self.sizes = [deque() for _ in range(nq)]
         self.nonzero = 0
+        self.touched = 0  # ids popped or pushed since the last scan
         self.q_hat = self.v_hat = 0
 
     def scan(self):
-        return self.lengths, self.nonzero
+        """The live lengths, the mask of non-empty ids and the mask of ids
+        whose length changed since the last scan."""
+        lengths, last = self.lengths, self.last
+        touched = self.touched
+        changed = 0
+        while touched:
+            low = touched & -touched
+            q = low.bit_length() - 1
+            touched ^= low
+            if lengths[q] != last[q]:
+                last[q] = lengths[q]
+                changed |= low
+        self.touched = 0
+        return lengths, self.nonzero, changed
 
     def head_size(self, cc: _CompiledControl) -> int:
         return sum(self.sizes[q][0] for q in cc.queue_ids)
@@ -443,6 +525,7 @@ class _CountQueues:
             self.lengths[q] -= 1
             self.q_hat -= 1
             self.v_hat -= self.weights[q]
+            self.touched |= 1 << q
             if not self.lengths[q]:
                 self.nonzero &= ~(1 << q)
         if delta.merged:
@@ -464,6 +547,7 @@ class _CountQueues:
         self.q_hat += 1
         self.v_hat += self.weights[q]
         self.nonzero |= 1 << q
+        self.touched |= 1 << q
 
     def arrive(self, user: int, count: int) -> None:
         for _ in range(count):
@@ -495,6 +579,7 @@ def run(config: SimConfig, *, windows=()) -> RunResult:
     chan = make_rng(config.seed, "chan")
     arr = make_rng(config.seed, "arr")
     pol = make_rng(config.seed, "policy")
+    memo = _SelectMemo(compiled)
 
     delivered = [0] * n
     arrived = [0] * n
@@ -508,83 +593,91 @@ def run(config: SimConfig, *, windows=()) -> RunResult:
     q_hat = v_hat = max_q = max_v = 0
     folds = [[int(lo), int(hi), 0] for lo, hi in windows]
 
-    for t in range(config.horizon):
-        sticky = pending is not None and config.retransmit_mode == "sticky"
-        if sticky:
-            cidx = pending
-        else:
-            lengths, nonzero = queues.scan()
-            cidx = _select(compiled, lengths, nonzero, config.policy, pol)
-        flush = False
-        case = received = None
-        overhead = 0
-        if cidx is None:
-            if config.flush_on_empty and transmitted_since_flush and q_hat == 0:
-                queues.flush()
-                flush = True
-                flush_slots += 1
-                transmitted_since_flush = False
+    try:
+        for t in range(config.horizon):
+            sticky = pending is not None and config.retransmit_mode == "sticky"
+            if sticky:
+                cidx = pending
             else:
-                idle_slots += 1
-        else:
-            cc = compiled.controls[cidx]
-            overhead = queues.head_size(cc)
-            if config.overhead_monitor and overhead > factorial(cc.exit_level):
-                raise MonitorViolation(
-                    [
-                        f"composite of {overhead} constituents exits level "
-                        f"{cc.exit_level}"
-                    ],
-                    slot=t,
-                    control=cidx,
+                lengths, nonzero, changed = queues.scan()
+                memo.touch(changed)
+                cidx = _select(compiled, lengths, nonzero, config.policy, pol, memo)
+            flush = False
+            case = received = None
+            overhead = 0
+            if cidx is None:
+                if config.flush_on_empty and transmitted_since_flush and q_hat == 0:
+                    queues.flush()
+                    flush = True
+                    flush_slots += 1
+                    transmitted_since_flush = False
+                else:
+                    idle_slots += 1
+            else:
+                cc = compiled.controls[cidx]
+                overhead = queues.head_size(cc)
+                if config.overhead_monitor and overhead > factorial(cc.exit_level):
+                    raise MonitorViolation(
+                        [
+                            f"composite of {overhead} constituents exits level "
+                            f"{cc.exit_level}"
+                        ],
+                        slot=t,
+                        control=cidx,
+                    )
+                s = sample_reception(config.erasure, chan)
+                received = s.mask
+                case, deliveries, stored = queues.transmit(cc, s, t)
+                transmitted_since_flush = True
+                pending = cidx if case == RpmCase.RETRANSMIT.value else None
+                for user, count in deliveries:
+                    delivered[user] += count
+                if config.overhead_monitor:
+                    for level, size in stored:
+                        if size > _stored_cap(level):
+                            raise MonitorViolation(
+                                [
+                                    f"stored packet of {size} constituents "
+                                    f"at level {level}"
+                                ],
+                                slot=t,
+                                control=cidx,
+                                received=received,
+                                case=case,
+                            )
+                        if size > max_stored.get(level, 0):
+                            max_stored[level] = size
+                overhead_hist[overhead] = overhead_hist.get(overhead, 0) + 1
+                if overhead > max_exit.get(cc.exit_level, 0):
+                    max_exit[cc.exit_level] = overhead
+            queues.audit(t, cidx, received, case)
+            batch = sample_arrivals(config.arrivals, arr)
+            for user, count in enumerate(batch):
+                arrived[user] += count
+                queues.arrive(user, count)
+            q_hat, v_hat = queues.totals()
+            max_q = max(max_q, q_hat)
+            max_v = max(max_v, v_hat)
+            for f in folds:
+                if f[0] <= t < f[1]:
+                    f[2] += q_hat
+            if config.decimate and t % config.decimate == 0:
+                trace.append(
+                    SlotMetrics(
+                        t,
+                        q_hat,
+                        v_hat,
+                        tuple(delivered),
+                        cidx,
+                        case,
+                        sticky,
+                        flush,
+                        overhead,
+                    )
                 )
-            s = sample_reception(config.erasure, chan)
-            received = s.mask
-            case, deliveries, stored = queues.transmit(cc, s, t)
-            transmitted_since_flush = True
-            pending = cidx if case == RpmCase.RETRANSMIT.value else None
-            for user, count in deliveries:
-                delivered[user] += count
-            if config.overhead_monitor:
-                for level, size in stored:
-                    if size > _stored_cap(level):
-                        raise MonitorViolation(
-                            [f"stored packet of {size} constituents at level {level}"],
-                            slot=t,
-                            control=cidx,
-                            received=received,
-                            case=case,
-                        )
-                    if size > max_stored.get(level, 0):
-                        max_stored[level] = size
-            overhead_hist[overhead] = overhead_hist.get(overhead, 0) + 1
-            if overhead > max_exit.get(cc.exit_level, 0):
-                max_exit[cc.exit_level] = overhead
-        queues.audit(t, cidx, received, case)
-        batch = sample_arrivals(config.arrivals, arr)
-        for user, count in enumerate(batch):
-            arrived[user] += count
-            queues.arrive(user, count)
-        q_hat, v_hat = queues.totals()
-        max_q = max(max_q, q_hat)
-        max_v = max(max_v, v_hat)
-        for f in folds:
-            if f[0] <= t < f[1]:
-                f[2] += q_hat
-        if config.decimate and t % config.decimate == 0:
-            trace.append(
-                SlotMetrics(
-                    t,
-                    q_hat,
-                    v_hat,
-                    tuple(delivered),
-                    cidx,
-                    case,
-                    sticky,
-                    flush,
-                    overhead,
-                )
-            )
+    except MonitorViolation as err:
+        err.seed = config.seed
+        raise
     assert sum(delivered) + v_hat == sum(arrived)
     return RunResult(
         config=config,

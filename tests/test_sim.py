@@ -3,7 +3,8 @@
 The counts engine has no packets, tokens or bases, so its correctness case
 rests on per-slot metric equality with the fully audited object engine over
 identical seeds, on a fixed grid and on random configurations.  The remaining tests pin config validation, degenerate
-channels, retransmit stickiness, flush accounting, decimation, windowed
+channels, memoized selection against a fresh one, the backends' changed
+masks, retransmit stickiness, flush accounting, decimation, windowed
 means, monitor wiring and probe verdicts.
 """
 
@@ -22,9 +23,11 @@ from becsim.movement import synthesize_state
 from becsim.scheduler import DELIVERED, TransitionTable, select_control
 from becsim.sim import (
     SimConfig,
+    _CountQueues,
     _ObjectQueues,
     _queue_space,
     _select,
+    _SelectMemo,
     compile_catalog,
     run,
     stability_probe,
@@ -274,6 +277,51 @@ PARITY = [
 ]
 
 
+MEMO_CASES = [
+    (2, "full", ErasureModel.iid(2, F(1, 3))),
+    (3, "full", ErasureModel.iid(3, F(2, 5))),
+    (4, "table8", ErasureModel.iid(4, F(1, 4))),
+    (
+        3,
+        "full",
+        ErasureModel.joint(
+            3,
+            {(): F(1, 8), (0,): F(1, 4), (1, 2): F(1, 8), (0, 2): F(1, 6),
+             (0, 1, 2): F(1, 3)},
+        ),
+    ),
+]
+
+
+def walk_select(compiled, policy, steps, seed):
+    """Walk queue lengths through steps, each a list of (which, value) draws
+    in [0, 1) that change one queue apiece (a third of them empty a
+    non-empty queue), and check at every step that a memoized selection
+    equals a fresh one, the random policy with equal rng seeds."""
+    n_queues = len(compiled.queues)
+    lengths = [0] * n_queues
+    memo = _SelectMemo(compiled)
+    rng_memo, rng_fresh = random.Random(seed), random.Random(seed)
+    for draws in steps:
+        changed = 0
+        for which, value in draws:
+            q = int(which * n_queues)
+            old = lengths[q]
+            if old and value < 1 / 3:
+                lengths[q] = 0
+            else:
+                if old:
+                    value = (value - 1 / 3) * 3 / 2
+                # any of 1..7 other than the old length
+                new = 1 + int(value * 6)
+                lengths[q] = new + (new >= old > 0)
+            changed |= 1 << q
+        nonzero = sum(1 << k for k, ln in enumerate(lengths) if ln)
+        memo.touch(changed)
+        got = _select(compiled, lengths, nonzero, policy, rng_memo, memo)
+        assert got == _select(compiled, lengths, nonzero, policy, rng_fresh)
+
+
 class TestSelection:
     @pytest.mark.parametrize(
         "n, restriction, model",
@@ -354,6 +402,48 @@ class TestSelection:
                         want, best = idx, r
             assert _select(compiled, lengths, nonzero, "maxweight", None) == want
 
+    @pytest.mark.parametrize("policy", ["maxweight", "random"])
+    @pytest.mark.parametrize(
+        "n, restriction, model",
+        MEMO_CASES,
+        ids=["n2-full", "n3-full", "n4-table8", "n3-joint"],
+    )
+    def test_memo_matches_fresh_select(self, n, restriction, model, policy):
+        compiled = compile_catalog(
+            make_config(
+                n=n, horizon=1, eps=model, restriction=restriction, policy=policy
+            )
+        )
+        walk = random.Random(f"walk-{n}-{restriction}-{policy}")
+        steps = [
+            [(walk.random(), walk.random()) for _ in range(walk.randint(1, 4))]
+            for _ in range(400)
+        ]
+        walk_select(compiled, policy, steps, seed=f"pick-{n}")
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(
+                    st.floats(0, 1, exclude_max=True),
+                    st.floats(0, 1, exclude_max=True),
+                ),
+                min_size=1,
+                max_size=4,
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        st.sampled_from(["maxweight", "random"]),
+        st.integers(0, 2**32),
+    )
+    def test_memo_matches_fresh_select_property(self, steps, policy, seed):
+        compiled = compile_catalog(
+            make_config(n=3, horizon=1, eps=MEMO_CASES[3][2], policy=policy)
+        )
+        walk_select(compiled, policy, steps, seed)
+
     def test_idle_when_everything_empty(self):
         res = run(make_config(n=2, horizon=50, rates=(0.0, 0.0)))
         assert res.idle_slots == 50
@@ -367,6 +457,36 @@ class TestSelection:
         c = run(make_config(policy="random", seed="r2", **base))
         assert a.trace == b.trace
         assert a.trace != c.trace
+
+
+class TestScanChanges:
+    @pytest.mark.parametrize("backend", [_ObjectQueues, _CountQueues])
+    def test_changed_mask_is_length_diff(self, backend, monkeypatch):
+        real = backend.scan
+        scans = []
+
+        def recording(self):
+            lengths, nonzero, changed = real(self)
+            scans.append((list(lengths), nonzero, changed))
+            return lengths, nonzero, changed
+
+        monkeypatch.setattr(backend, "scan", recording)
+        engine = "object" if backend is _ObjectQueues else "counts"
+        res = run(
+            make_config(
+                n=3, horizon=600, eps=0.6, rates=(0.15,) * 3, engine=engine,
+                seed="scan",
+            )
+        )
+        # sticky slots skip the scan, so a scan's changes may span slots
+        sticky = sum(row.retransmit for row in res.trace)
+        assert sticky and len(scans) == 600 - sticky
+        before = [0] * len(scans[0][0])
+        for lengths, nonzero, changed in scans:
+            diff = [now != old for now, old in zip(lengths, before)]
+            assert changed == sum(1 << k for k, d in enumerate(diff) if d)
+            assert nonzero == sum(1 << k for k, ln in enumerate(lengths) if ln)
+            before = lengths
 
 
 class TestRetransmit:
@@ -552,6 +672,31 @@ class TestMonitorWiring:
         assert (v.control, v.received, v.case) == (cc.index, 0b10, None)
         assert compiled.controls[v.control] is cc
         assert "at slot 10 (control" in str(v)
+
+    @pytest.mark.parametrize("seed", ["ctx", 7])
+    @pytest.mark.parametrize("engine", ["object", "counts"])
+    def test_violation_carries_seed(self, engine, seed, monkeypatch):
+        import becsim.sim as sim_mod
+
+        monkeypatch.setattr(sim_mod, "_stored_cap", lambda level: 0)
+        config = dict(self.CONTEXT, seed=seed)
+        with pytest.raises(MonitorViolation) as err:
+            run(make_config(engine=engine, **config))
+        assert err.value.seed == seed
+        assert str(err.value).endswith(f" (seed {seed!r})")
+        # the seed reproduces the violation at the same slot
+        with pytest.raises(MonitorViolation) as again:
+            run(make_config(engine=engine, **dict(config, seed=err.value.seed)))
+        assert str(again.value) == str(err.value)
+
+    def test_backend_violation_carries_seed(self, monkeypatch):
+        import becsim.sim as sim_mod
+
+        monkeypatch.setattr(sim_mod, "audit_state", lambda state, deep=False: ["x"])
+        with pytest.raises(MonitorViolation) as err:
+            run(make_config(seed="audit"))
+        assert err.value.seed == "audit"
+        assert str(err.value).endswith("x (seed 'audit')")
 
     # the run without the failing monitor shows what the failing slot did
     CONTEXT = dict(n=2, horizon=200, eps=0.5, rates=(0.3, 0.3), seed="ctx")
