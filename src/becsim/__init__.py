@@ -61,7 +61,6 @@ from .scheduler import (
     DELIVERED,
     TransitionTable,
     derive_transitions,
-    select_control,
 )
 from .sim import (
     RunResult,
@@ -117,7 +116,6 @@ __all__ = [
     "run",
     "sample_arrivals",
     "sample_reception",
-    "select_control",
     "simplify_inequalities",
     "stability_probe",
     "summarize",

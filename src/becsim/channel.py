@@ -204,10 +204,6 @@ class ArrivalModel:
         return _draw(self._table, rng)
 
 
-def p_gs(model: ErasureModel, g: UserSet, s: UserSet):
-    return model.p_gs(g, s)
-
-
 def epsilon_g(model: ErasureModel, g: UserSet):
     """Probability that everyone in g misses the slot."""
     return model.p_gs(g, EMPTY)

@@ -156,14 +156,6 @@ class ControlCatalog:
         ]
         return json.dumps(obj, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str, n_users: int, restriction: str) -> "ControlCatalog":
-        obj = json.loads(text)
-        controls = tuple(
-            ControlSpec.of(*((p["L"], p["D"]) for p in pairs)) for pairs in obj
-        )
-        return cls(controls, n_users, restriction)
-
 
 def _enumerate_full(n_users: int, cap: int) -> list[ControlSpec]:
     pairs = _cc_pairs(n_users)

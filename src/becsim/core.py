@@ -110,10 +110,6 @@ class UserSet:
     def isdisjoint(self, other: "UserSet") -> bool:
         return self.mask & other.mask == 0
 
-    @property
-    def members(self) -> tuple:
-        return tuple(self)
-
     def __repr__(self) -> str:
         return "U{" + ",".join(str(u) for u in self) + "}"
 

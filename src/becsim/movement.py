@@ -98,11 +98,6 @@ def tilde_l(spec: ControlSpec) -> UserSet:
     return UserSet.from_iterable(u for u, c in counts.items() if c >= need)
 
 
-def overhead_of(packet: RealPacket) -> int:
-    """Number of packet IDs a receiver must track to use this composite."""
-    return len(packet.constituents)
-
-
 def _resolve_chosen(state, pairs, chosen):
     if chosen is None:
         picked = {}

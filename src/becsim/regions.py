@@ -495,10 +495,6 @@ class Polyhedron:
     def contains(self, point: Mapping[str, object], tol=1e-9) -> bool:
         return all(i.evaluate(point) <= i.rhs + tol for i in self.inequalities)
 
-    def contradictions(self) -> list[LinearIneq]:
-        """Constant inequalities of the form 0 <= negative."""
-        return [i for i in self.inequalities if not i.coeffs and i.rhs < 0]
-
 
 def simplify_inequalities(
     ineqs, *, assume_nonneg: bool = True, tol=1e-9

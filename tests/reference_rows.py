@@ -1,14 +1,18 @@
-"""Reference action tables for the hand-built three-user scheme, and the
-runner that checks the movement rules against them row by row.
+"""Reference action tables for the hand-built three-user scheme, the
+runner that checks the movement rules against them row by row, and the
+token-level max-weight selection that ``sim._select`` is compared with.
 
-Imported by ``test_movement.py`` and ``test_acceptance.py``.
+Imported by ``test_movement.py``, ``test_acceptance.py``,
+``test_scheduler.py`` and ``test_sim.py``.
 """
 
 from itertools import product
+from typing import Optional
 
-from becsim.coding import ControlSpec
-from becsim.core import QueueIndex, UserSet, audit_state
+from becsim.coding import ControlCatalog, ControlSpec
+from becsim.core import NetworkState, QueueIndex, UserSet, audit_state
 from becsim.movement import ReceptionOutcome, apply_rpm, synthesize_state
+from becsim.scheduler import DELIVERED, TransitionTable
 
 # Seven transmitted combinations, grouped into the five scheduling phases of
 # the hand-built three-user scheme.  Users are (i, j, k) = (0, 1, 2); each
@@ -171,3 +175,43 @@ def conformance_tables(phase: int, triple) -> list[dict]:
     triple; one comparison record per scenario."""
     key = triple if isinstance(triple, str) else "".join(triple)
     return [run_reference_row(table, key) for table in PHASE_TABLES[phase]]
+
+
+def reward(state: NetworkState, spec: ControlSpec, edges: dict):
+    """Total expected counter drift if this control is transmitted now."""
+    total = 0
+    for node, targets in edges.items():
+        k_m = state.counter(*node)
+        drift = k_m
+        for target, p in targets.items():
+            if target == DELIVERED:
+                continue  # delivery is an absorbing edge with weight zero
+            drift = drift - p * state.counter(target[0], target[1])
+        if drift > 0:
+            total = total + drift
+    return total
+
+
+def eligible(state: NetworkState, spec: ControlSpec) -> bool:
+    """A control may be sent only when every involved counter is positive."""
+    return all(
+        state.counter(qi, i) > 0
+        for qi in spec.sorted_pairs
+        for i in qi.destinations
+    )
+
+
+def select_control(
+    state: NetworkState, catalog: ControlCatalog, table: TransitionTable
+) -> Optional[ControlSpec]:
+    """Max-weight choice; ties broken by catalog order; None when nothing
+    can be sent (all queues empty or no eligible control)."""
+    best = None
+    best_reward = None
+    for spec in catalog:
+        if not eligible(state, spec):
+            continue
+        r = reward(state, spec, table.edges(spec))
+        if best is None or r > best_reward:
+            best, best_reward = spec, r
+    return best

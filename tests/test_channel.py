@@ -14,7 +14,6 @@ from becsim.channel import (
     epsilon_g,
     exact,
     make_rng,
-    p_gs,
     sample_arrivals,
     sample_reception,
 )
@@ -29,20 +28,20 @@ def U(*xs):
 class TestPGs:
     def test_iid_closed_form(self):
         m = ErasureModel.iid(3, F(1, 2))
-        assert p_gs(m, U(0, 1), U()) == F(1, 4)
+        assert m.p_gs(U(0, 1), U()) == F(1, 4)
         assert epsilon_g(m, U(0, 1)) == F(1, 4)
-        assert p_gs(m, U(), U()) == 1
-        assert p_gs(m, U(0), U(1, 2)) == F(1, 8)
+        assert m.p_gs(U(), U()) == 1
+        assert m.p_gs(U(0), U(1, 2)) == F(1, 8)
 
     def test_uniform_joint(self):
         m = ErasureModel.joint(2, {(): F(1, 4), (0,): F(1, 4), (1,): F(1, 4), (0, 1): F(1, 4)})
-        assert p_gs(m, U(0), U(1)) == F(1, 4)
-        assert p_gs(m, U(), U()) == 1
+        assert m.p_gs(U(0), U(1)) == F(1, 4)
+        assert m.p_gs(U(), U()) == 1
 
     def test_overlap_rejected(self):
         m = ErasureModel.iid(3, 0.5)
         with pytest.raises(ConfigError):
-            p_gs(m, U(0), U(0, 1))
+            m.p_gs(U(0), U(0, 1))
 
     def test_iid_equals_equivalent_joint(self):
         eps = [F(1, 3), F(2, 5), F(1, 7)]
@@ -56,7 +55,7 @@ class TestPGs:
                 s = UserSet.from_iterable(i for i in range(3) if s_bits[i])
                 if (g & s).mask:
                     continue
-                assert p_gs(iid, g, s) == p_gs(joint, g, s)
+                assert iid.p_gs(g, s) == joint.p_gs(g, s)
 
     def test_pmf_built_lazily_and_kept(self, monkeypatch):
         builds = []
@@ -88,7 +87,7 @@ class TestPGs:
                     for r in range(8)
                     if (r & s_mask) == s_mask and not (r & g_mask)
                 )
-                assert p_gs(model, UserSet(g_mask), UserSet(s_mask)) == oracle
+                assert model.p_gs(UserSet(g_mask), UserSet(s_mask)) == oracle
 
     def test_bad_pmf_rejected(self):
         with pytest.raises(ConfigError):

@@ -10,7 +10,6 @@ from itertools import combinations
 import pytest
 
 from becsim.coding import (
-    ControlCatalog,
     ControlSpec,
     destinations_of,
     enumerate_controls,
@@ -172,11 +171,6 @@ class TestCatalogIdentity:
             qs = list(spec.pairs)
             rng.shuffle(qs)
             assert ControlSpec(frozenset(qs)) == spec
-
-    def test_json_round_trip(self):
-        cat = enumerate_controls(3)
-        again = ControlCatalog.from_json(cat.to_json(), 3, "full")
-        assert again.controls == cat.controls
 
     def test_deterministic(self):
         a = enumerate_controls(4, "table8")

@@ -49,7 +49,7 @@ class TestUserSet:
         assert set(UserSet.full(4)) == {0, 1, 2, 3}
         assert not EMPTY
         assert U(2)
-        assert U(0, 2).members == (0, 2)
+        assert tuple(U(0, 2)) == (0, 2)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):

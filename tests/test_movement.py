@@ -1,13 +1,16 @@
 """Movement-rule tests: the 56 reference action rows for three users, the
 two multi-pair walkthrough scenarios, randomized invariant checks, and the
-planner checked against plans carried out on a state."""
+planner, the delta tables and the transition tables checked against plans
+carried out on a state."""
 
 import hashlib
 import random
 from collections import Counter
+from fractions import Fraction as F
 
 import pytest
 
+from becsim.channel import ErasureModel
 from becsim.coding import FULL, TABLE8, ControlSpec, enumerate_controls
 from becsim.core import (
     NativePacketId,
@@ -21,11 +24,11 @@ from becsim.movement import (
     ReceptionOutcome,
     RpmCase,
     apply_rpm,
-    overhead_of,
     plan_moves,
     synthesize_state,
     tilde_l,
 )
+from becsim.scheduler import DELIVERED, derive_transitions
 from becsim.sim import _compile_deltas, _Delta, _queue_space
 from reference_rows import (
     FEEDBACK_TRIPLES,
@@ -206,8 +209,8 @@ class TestEdgeBehavior:
         state = synthesize_state(3, [((), (0,)), ((1, 2), (0,), 2)])
         native = state.queue(QI((), (0,)))[0]
         padded = state.queue(QI((1, 2), (0,)))[0]
-        assert overhead_of(native) == 1
-        assert overhead_of(padded) == 3
+        assert len(native.constituents) == 1
+        assert len(padded.constituents) == 3
         assert audit_state(state, deep=True) == []
 
 
@@ -295,6 +298,35 @@ def executed_moves(n_users, spec, s):
         (frm, merged_at or to) for _pid, frm, to in plan.real_moves if frm is not None
     )
     return plan, routes
+
+
+def executed_transitions(spec, model, pad_constituents=0):
+    """The transition table of one control derived from executed state:
+    per reception set, apply_rpm on a canonical state whose packets carry
+    pad_constituents already-delivered natives each, with every pending
+    token followed through token_moves; untouched tokens stay put."""
+    nodes = [(qi, i) for qi in spec.sorted_pairs for i in qi.destinations]
+    entries = [
+        (tuple(qi.listeners), tuple(qi.destinations), pad_constituents)
+        for qi in spec.sorted_pairs
+    ]
+    buckets = [{} for _ in nodes]
+    for s, prob in model.pmf():
+        state = synthesize_state(model.n_users, entries)
+        native_node = {}
+        for qi in spec.sorted_pairs:
+            pid = state.queue(qi)[0].pid
+            for i in qi.destinations:
+                native_node[state.find_token(qi, i, pid).native] = (qi, i)
+        plan = apply_rpm(state, spec, None, ReceptionOutcome(s))
+        landed = {
+            native_node[native]: DELIVERED if dst is None else dst
+            for native, _src, dst in plan.token_moves
+        }
+        for node, bucket in zip(nodes, buckets):
+            target = landed.get(node, node)
+            bucket[target] = bucket.get(target, 0) + prob
+    return dict(zip(nodes, buckets))
 
 
 def reference_deltas(catalog):
@@ -388,3 +420,41 @@ class TestPlanner:
         assert moves.routes == ((QI((0, 2, 4), (1, 3)), QI((0, 1, 2, 4), (3,))),)
         assert moves.decoded == ((QI((0, 2, 4), (1, 3)), 1),)
         assert not moves.merged
+
+
+# a three-user pmf with zero-mass reception sets
+JOINT3_ZERO = ErasureModel.joint(
+    3,
+    {
+        (): F(1, 8), (0,): F(1, 4), (1,): 0, (2,): F(1, 8),
+        (0, 1): 0, (0, 2): F(1, 4), (1, 2): F(1, 8), (0, 1, 2): F(1, 8),
+    },
+)
+
+TRANSITION_CASES = [
+    (1, FULL, ErasureModel.iid(1, F(1, 4))),
+    (2, FULL, ErasureModel.iid(2, F(1, 4))),
+    (3, FULL, ErasureModel.iid(3, F(1, 4))),
+    (3, FULL, JOINT3_ZERO),
+    (4, FULL, ErasureModel.iid(4, F(1, 4))),
+    (4, TABLE8, ErasureModel.iid(4, F(1, 4))),
+]
+
+
+class TestTransitions:
+    @pytest.mark.parametrize(
+        "n_users, restriction, model",
+        TRANSITION_CASES,
+        ids=["n1", "n2", "n3", "n3-joint-zero", "n4", "n4-table8"],
+    )
+    def test_transitions_match_executed_state(self, n_users, restriction, model):
+        """derive_transitions lands tokens by the planner's routes; the
+        reference carries each plan out on a packet state, unpadded and
+        with two delivered natives per packet, and reads where the tokens
+        went.  Equal tables in equal key order."""
+        for spec in enumerate_controls(n_users, restriction):
+            got = derive_transitions(spec, model)
+            for pad in (0, 2):
+                want = executed_transitions(spec, model, pad)
+                assert got == want, (spec, pad)
+                assert repr(got) == repr(want), (spec, pad)

@@ -9,6 +9,8 @@ import pathlib
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from becsim import scheduler
 from becsim.channel import ErasureModel, make_rng
 from becsim.coding import ControlSpec, enumerate_controls
@@ -19,10 +21,8 @@ from becsim.scheduler import (
     TransitionTable,
     control_nodes,
     derive_transitions,
-    eligible,
-    reward,
-    select_control,
 )
+from reference_rows import eligible, reward, select_control
 
 
 def U(*xs):
@@ -119,13 +119,6 @@ class TestDeriveTransitions:
             for node, targets in derive_transitions(spec, model).items():
                 assert sum(targets.values()) == 1
 
-    def test_padding_does_not_matter(self):
-        model = rational_joint(3, "padding")
-        for spec in enumerate_controls(3):
-            assert derive_transitions(spec, model) == derive_transitions(
-                spec, model, pad_constituents=2
-            )
-
     def test_memo_changes_nothing(self, monkeypatch):
         model = rational_joint(3, "memo")
         catalog = enumerate_controls(3)
@@ -135,24 +128,11 @@ class TestDeriveTransitions:
         assert cold == warm
         assert [derive_transitions(spec, model) for spec in catalog] == warm
 
-    def test_padding_synthesizes_its_own_states(self, monkeypatch):
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return synthesize_state(*args)
-
-        monkeypatch.setattr(scheduler, "synthesize_state", counted)
-        monkeypatch.setattr(scheduler, "_LANDING_CACHE", {})
-        model = rational_joint(3, "padding")
-        spec = enumerate_controls(3)[-1]
-        derive_transitions(spec, model)
-        calls.clear()
-        derive_transitions(spec, model)
-        assert not calls  # a warm memo synthesizes nothing
-        derive_transitions(spec, model, pad_constituents=2)
-        assert len(calls) == 1 << 3
-        assert all(pad == 2 for _, entries in calls for *_, pad in entries)
+    def test_unknown_user_fails(self):
+        # Q[2->0] names user 2, which a two-user model does not have
+        spec = ControlSpec.of(((2,), (0,)))
+        with pytest.raises(AssertionError):
+            derive_transitions(spec, ErasureModel.iid(2, F(1, 2)))
 
     def test_certain_erasure_self_loops(self):
         model = ErasureModel.iid(3, 1)

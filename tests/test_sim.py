@@ -20,7 +20,7 @@ from becsim.channel import ArrivalModel, ErasureModel
 from becsim.coding import enumerate_controls
 from becsim.core import ConfigError, MonitorViolation, QueueIndex, UserSet
 from becsim.movement import synthesize_state
-from becsim.scheduler import DELIVERED, TransitionTable, select_control
+from becsim.scheduler import DELIVERED, TransitionTable
 from becsim.sim import (
     SimConfig,
     _CountQueues,
@@ -34,6 +34,7 @@ from becsim.sim import (
     summarize,
     worker_count,
 )
+from reference_rows import select_control
 
 JOINT2 = ErasureModel.joint(
     2, {(): F(1, 10), (0,): F(1, 5), (1,): F(3, 10), (0, 1): F(2, 5)}
