@@ -39,7 +39,6 @@ from .movement import (
     ReceptionOutcome,
     RpmCase,
     apply_rpm,
-    synthesize_state,
 )
 from .regions import (
     DegenerateChannelError,
@@ -119,7 +118,6 @@ __all__ = [
     "simplify_inequalities",
     "stability_probe",
     "summarize",
-    "synthesize_state",
     "validate_cc",
     "__version__",
 ]

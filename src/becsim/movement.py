@@ -34,7 +34,6 @@ from .core import (
     NetworkState,
     QueueIndex,
     RealPacket,
-    Token,
     UserSet,
     validate_cc,
 )
@@ -96,6 +95,15 @@ def tilde_l(spec: ControlSpec) -> UserSet:
             counts[u] = counts.get(u, 0) + 1
     need = len(pairs) - 1
     return UserSet.from_iterable(u for u, c in counts.items() if c >= need)
+
+
+def check_control(spec: ControlSpec, n_users: int) -> None:
+    """Raise ValueError unless every pair of spec passes the compatibility
+    criteria for n_users users and the pairs are combinable."""
+    if not all(validate_cc(qi, n_users) for qi in spec.sorted_pairs):
+        raise ValueError(f"{spec!r} fails the queue criteria for {n_users} users")
+    if not validate_bcr(spec):
+        raise ValueError(f"{spec!r} is not combinable")
 
 
 def _resolve_chosen(state, pairs, chosen):
@@ -183,7 +191,7 @@ def apply_rpm(
     chosen lists one packet per pair in sorted-pair order; None takes the
     heads.  ``plan_moves`` decides; this carries its routes out.
     """
-    assert validate_bcr(spec)
+    check_control(spec, state.n_users)
     pairs = spec.sorted_pairs
     picked = _resolve_chosen(state, pairs, chosen)
     s = outcome.received
@@ -249,44 +257,3 @@ def _relocate(state, plan, qi, p, s, target, holder):
         tok.packet_id = holder
         state.append_token(tok)
         plan.token_moves.append((tok.native, (qi, i), (target, i)))
-
-
-def synthesize_state(n_users: int, entries) -> NetworkState:
-    """Build a consistent state holding one packet per (listeners,
-    destinations[, extra]) entry.
-
-    Each packet carries one fresh pending native per destination, plus
-    `extra` already-delivered natives to model composites with history.
-    Listener and destination knowledge is seeded so the deep audit passes.
-    """
-    state = NetworkState(n_users)
-    for entry in entries:
-        l, d, *rest = entry
-        extra = rest[0] if rest else 0
-        qi = QueueIndex(UserSet.from_iterable(l), UserSet.from_iterable(d))
-        assert validate_cc(qi, n_users)
-        pending = {}
-        cons = set()
-        for i in qi.destinations:
-            n = state.fresh_native(i)
-            pending[i] = n
-            cons.add(n)
-        pool = list(qi.listeners) or list(qi.destinations)
-        for t in range(extra):
-            owner = pool[t % len(pool)]
-            n = state.fresh_native(owner)
-            state.decoded[owner].add(n)
-            state.bases[owner].insert(frozenset([n]))
-            cons.add(n)
-        p = RealPacket(state.fresh_pid(), frozenset(cons), qi)
-        state.append_packet(p)
-        for i, n in pending.items():
-            state.append_token(Token(n, p.pid, qi))
-        vec = frozenset(cons)
-        for i in qi.listeners:
-            state.bases[i].insert(vec)
-        for i in qi.destinations:
-            for n in cons:
-                if n != pending[i]:
-                    state.bases[i].insert(frozenset([n]))
-    return state

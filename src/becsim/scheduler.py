@@ -1,71 +1,128 @@
-"""Token transition tables.
+"""Per-(control, reception set) plans and token transition tables.
 
-For each control and reception set, ``plan_moves`` routes every popped head
-by set arithmetic alone.  The pending token of destination i in a head
-routed to queue q lands at (q, i) when i is one of q's destinations and is
-delivered otherwise (a head that leaves the network delivers all its
-tokens); the tokens of a head that is not popped stay put.  This is the
-rule ``sim`` applies to its delta tables.  Folding the reception pmf over
-these landings gives the exact distribution of where each pending token
-goes.  Where the tokens land depends only on the control and the reception
-set, so a per-process memo keeps each landing once and every erasure
-model's pmf is folded over the memo.
+``deltas_of`` plans the moves of one control under every reception set
+with ``plan_moves``, set arithmetic with no packet state, and maps the
+routes to queue ids: one route (source, target or None) per popped head.
+A per-process memo keeps each control's table, so the simulator's compile
+and every transition table read one plan per (control, reception set).
+
+``fold_landings`` is the landing rule.  The pending token of destination i
+in a head routed to queue q lands at (q, i) when i is one of q's
+destinations and is delivered otherwise (a head that leaves the network
+delivers all its tokens); the tokens of a head that is not popped stay put.
+Folding a reception pmf over these landings gives the exact distribution
+of where each pending token goes: ``derive_transitions`` keeps it per
+control, and the simulator's max-weight rows are the same fold with the
+deliveries dropped.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from typing import Mapping
 
 from .channel import ErasureModel
-from .coding import ControlCatalog, ControlSpec, validate_bcr
-from .core import QueueIndex, validate_cc
-from .movement import plan_moves
+from .coding import ControlCatalog, ControlSpec, _cc_pairs
+from .core import EMPTY, QueueIndex, UserSet
+from .movement import check_control, plan_moves
 
 DELIVERED = "d"
 
 _TOL = 1e-12
 
 
-def control_nodes(spec: ControlSpec) -> list[tuple[QueueIndex, int]]:
-    """The virtual queues a control acts on: one per (pair, destination)."""
-    return [(qi, i) for qi in spec.sorted_pairs for i in qi.destinations]
+@cache
+def _queue_space(n_users: int):
+    """The queues of an n-user network in id order, the id of each queue,
+    and per id its weight |D| and level, plus each user's root queue id."""
+    queues = tuple(_cc_pairs(n_users))
+    qidx = {qi: k for k, qi in enumerate(queues)}
+    weights = tuple(len(qi.destinations) for qi in queues)
+    levels = tuple(qi.level for qi in queues)
+    roots = tuple(qidx[QueueIndex(EMPTY, UserSet.of(i))] for i in range(n_users))
+    return queues, qidx, weights, levels, roots
 
 
-_LANDING_CACHE: dict = {}
+@dataclass(frozen=True, slots=True)
+class _Delta:
+    case: str
+    routes: tuple  # (src, dst | None) per popped head, in pop order
+    merged: bool  # the popped heads form one fresh packet at their common dst
+    deliveries: tuple  # (user, count)
 
 
-def _landings(spec: ControlSpec, nodes, s):
-    """Where each of the control's nodes lands under reception set s,
-    aligned with nodes; planned once per key in a process."""
-    key = (spec, s.mask)
-    landings = _LANDING_CACHE.get(key)
-    if landings is None:
-        went = dict(plan_moves(spec, s).routes)
-        landed = []
-        for node in nodes:
-            qi, i = node
-            if qi not in went:
-                landed.append(node)
-            elif went[qi] is None or i not in went[qi].destinations:
-                landed.append(DELIVERED)
-            else:
-                landed.append((went[qi], i))
-        landings = _LANDING_CACHE[key] = tuple(landed)
-    return landings
+_PLAN_CACHE: dict = {}
+
+
+def deltas_of(spec: ControlSpec, n_users: int) -> dict:
+    """{s_mask: _Delta} of one control over every reception set of n_users
+    users; planned once per (n_users, control) in a process.  Raises
+    ValueError for a control that is not valid under n_users."""
+    key = (n_users, spec)
+    deltas = _PLAN_CACHE.get(key)
+    if deltas is None:
+        check_control(spec, n_users)
+        qidx = _queue_space(n_users)[1]
+        deltas = {}
+        for s_mask in range(1 << n_users):
+            moves = plan_moves(spec, UserSet(s_mask))
+            counts = {}
+            for _qi, user in moves.decoded:
+                counts[user] = counts.get(user, 0) + 1
+            deltas[s_mask] = _Delta(
+                case=moves.case.value,
+                # a delivered head's target is None, which qidx.get keeps
+                routes=tuple((qidx[src], qidx.get(dst)) for src, dst in moves.routes),
+                merged=moves.merged,
+                deliveries=tuple(sorted(counts.items())),
+            )
+        _PLAN_CACHE[key] = deltas
+    return deltas
+
+
+def fold_landings(queues, queue_ids, deltas, pmf) -> tuple:
+    """Fold a reception pmf, any iterable of (S, p), over where a control's
+    pending tokens land.
+
+    Node (q, i) is the token of user i in the head of queue id q.  Returns
+    the nodes in pair order and, per node, {landing: summed p} in the order
+    landings first occur: (dst, i) for a head routed to a queue dst that
+    keeps i as a destination, None for a delivered token, (q, i) for a head
+    that is not popped.
+    """
+    nodes = [(q, i) for q in queue_ids for i in queues[q].destinations]
+    buckets = [{} for _ in nodes]
+    for s, p in pmf:
+        went = dict(deltas[s.mask].routes)
+        for node, bucket in zip(nodes, buckets):
+            q, i = node
+            target = node
+            if q in went:
+                dst = went[q]
+                delivered = dst is None or i not in queues[dst].destinations
+                target = None if delivered else (dst, i)
+            bucket[target] = bucket.get(target, 0) + p
+    return nodes, buckets
 
 
 def derive_transitions(spec: ControlSpec, model: ErasureModel) -> dict:
-    """Exact per-token transition probabilities for one control."""
-    assert validate_bcr(spec)
-    assert all(validate_cc(qi, model.n_users) for qi in spec.sorted_pairs)
-    nodes = control_nodes(spec)
-    buckets = [{} for _ in nodes]
-    for s, prob in model.pmf():
-        for target, bucket in zip(_landings(spec, nodes, s), buckets):
-            bucket[target] = bucket.get(target, 0) + prob
-    return dict(zip(nodes, buckets))
+    """Exact per-token transition probabilities for one control, keyed by
+    node (QueueIndex, user) in pair order.  Raises ValueError for a control
+    that is not valid under the model's users."""
+    deltas = deltas_of(spec, model.n_users)
+    queues, qidx = _queue_space(model.n_users)[:2]
+    ids = [qidx[qi] for qi in spec.sorted_pairs]
+    nodes, buckets = fold_landings(queues, ids, deltas, model.pmf())
+
+    def node_of(target):
+        return DELIVERED if target is None else (queues[target[0]], target[1])
+
+    return {
+        (queues[q], i): {node_of(t): p for t, p in bucket.items()}
+        for (q, i), bucket in zip(nodes, buckets)
+    }
 
 
 @dataclass(frozen=True)

@@ -13,16 +13,18 @@ identical per-slot metrics from the same seed:
   audits and decode checks do not exist here; cross-engine equality is the
   check instead.
 
-Compiling a catalog plans the moves of every (control, reception set)
-with ``plan_moves``, set arithmetic with no packet state, and maps the
-routes to queue ids: one route (source, target or None) per popped head.
-The counts backend and the max-weight rows, folded with the reception pmf,
-both read those routes; the object engine carries the same plans out
-through ``apply_rpm``.  The erasure model holds exact values only (a float
-reads as its decimal), so selection compares the rows scaled to integers
-by the pmf's least common denominator: drift ties are exact and cheap, and
-catalog order breaks them for any input type.  A process keeps its last
-compiled catalog and hands it to the next run with the same inputs.
+Compiling a catalog reads each control's delta table from
+``scheduler.deltas_of``: the plan of every reception set, routes mapped to
+queue ids, one route (source, target or None) per popped head, planned
+once per process and shared with ``derive_transitions``.  The counts
+backend moves along those routes, and the max-weight rows are
+``scheduler.fold_landings`` of them with the reception pmf; the object
+engine carries the same plans out through ``apply_rpm``.  The erasure
+model holds exact values only (a float reads as its decimal), so selection
+compares the rows scaled to integers by the pmf's least common
+denominator: drift ties are exact and cheap, and catalog order breaks them
+for any input type.  A process keeps its last compiled catalog and hands
+it to the next run with the same inputs.
 
 Selection is incremental.  The compile keeps, per queue id, a readers mask:
 the controls whose rows read that queue as a source or a target.  Each
@@ -46,17 +48,16 @@ from math import factorial, lcm
 from typing import Optional
 
 from .channel import ArrivalModel, ErasureModel, make_rng, sample_arrivals, sample_reception
-from .coding import FULL, ControlCatalog, ControlSpec, _cc_pairs, enumerate_controls
+from .coding import FULL, ControlCatalog, ControlSpec, enumerate_controls
 from .core import (
-    EMPTY,
     ConfigError,
     MonitorViolation,
     NetworkState,
-    QueueIndex,
     UserSet,
     audit_state,
 )
-from .movement import ReceptionOutcome, RpmCase, apply_rpm, plan_moves
+from .movement import ReceptionOutcome, RpmCase, apply_rpm
+from .scheduler import _queue_space, deltas_of, fold_landings
 
 
 @dataclass
@@ -129,14 +130,6 @@ class RunResult:
 # --- catalog compilation ------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class _Delta:
-    case: str
-    routes: tuple  # (src, dst | None) per popped head, in pop order
-    merged: bool  # the popped heads form one fresh packet at their common dst
-    deliveries: tuple  # (user, count)
-
-
 @dataclass
 class _CompiledControl:
     index: int  # position in the catalog
@@ -160,76 +153,18 @@ class _Compiled:
     readers: tuple  # per queue id, the mask of controls whose rows read it
 
 
-_SPACE_CACHE: dict = {}
-_DELTA_CACHE: dict = {}
-
-
-def _queue_space(n_users: int):
-    space = _SPACE_CACHE.get(n_users)
-    if space is None:
-        queues = tuple(_cc_pairs(n_users))
-        qidx = {qi: k for k, qi in enumerate(queues)}
-        weights = tuple(len(qi.destinations) for qi in queues)
-        levels = tuple(qi.level for qi in queues)
-        roots = tuple(
-            qidx[QueueIndex(EMPTY, UserSet.of(i))] for i in range(n_users)
-        )
-        space = (queues, qidx, weights, levels, roots)
-        _SPACE_CACHE[n_users] = space
-    return space
-
-
-def _compile_deltas(catalog: ControlCatalog):
-    """Plan the moves of every (control, reception set) and map their
-    routes to queue ids; the only enumeration of the movement rules."""
-    n_users = catalog.n_users
-    cache_key = (n_users, catalog.restriction)
-    if cache_key in _DELTA_CACHE:
-        return _DELTA_CACHE[cache_key]
-    _, qidx, _, _, _ = _queue_space(n_users)
-    out = []
-    for spec in catalog:
-        per_s = {}
-        for s_mask in range(1 << n_users):
-            moves = plan_moves(spec, UserSet(s_mask))
-            counts = {}
-            for _qi, user in moves.decoded:
-                counts[user] = counts.get(user, 0) + 1
-            per_s[s_mask] = _Delta(
-                case=moves.case.value,
-                # a delivered head's target is None, which qidx.get keeps
-                routes=tuple((qidx[src], qidx.get(dst)) for src, dst in moves.routes),
-                merged=moves.merged,
-                deliveries=tuple(sorted(counts.items())),
-            )
-        out.append(per_s)
-    _DELTA_CACHE[cache_key] = out
-    return out
+def _compile_deltas(catalog: ControlCatalog) -> list:
+    """The delta table of every control, in catalog order."""
+    return [deltas_of(spec, catalog.n_users) for spec in catalog]
 
 
 def _fold_terms(queues, cc: _CompiledControl, pmf: list) -> tuple:
-    """Max-weight rows of one control, folded from its delta table.
-
-    Node (q, i) is the token of user i in the head of queue q.  A routed
-    head's token lands at (dst, i) when i is a destination of dst, and is
-    delivered otherwise; a token whose queue was not popped stays put.
-    Probabilities are summed in the order of the reception pmf's entries, as
-    ``scheduler.derive_transitions`` does, so the rows equal its table with
-    deliveries dropped.
-    """
-    nodes = [(q, i) for q in cc.queue_ids for i in queues[q].destinations]
-    buckets = [{} for _ in nodes]
-    for s, p in pmf:
-        went = dict(cc.deltas[s.mask].routes)
-        for (q, i), bucket in zip(nodes, buckets):
-            target = q
-            if q in went:
-                dst = went[q]
-                delivered = dst is None or i not in queues[dst].destinations
-                target = None if delivered else dst
-            bucket[target] = bucket.get(target, 0) + p
+    """Max-weight rows of one control: the landing fold of
+    ``scheduler.fold_landings`` by queue id, deliveries dropped, so the rows
+    equal ``derive_transitions``' table without its deliveries."""
+    nodes, buckets = fold_landings(queues, cc.queue_ids, cc.deltas, pmf)
     return tuple(
-        (q, tuple((tgt, p) for tgt, p in bucket.items() if tgt is not None))
+        (q, tuple((tgt[0], p) for tgt, p in bucket.items() if tgt is not None))
         for (q, _i), bucket in zip(nodes, buckets)
     )
 

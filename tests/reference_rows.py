@@ -1,6 +1,7 @@
 """Reference action tables for the hand-built three-user scheme, the
-runner that checks the movement rules against them row by row, and the
-token-level max-weight selection that ``sim._select`` is compared with.
+runner that checks the movement rules against them row by row, the
+token-level max-weight selection that ``sim._select`` is compared with, and
+``synthesize_state``, which builds the audited states those checks run on.
 
 Imported by ``test_movement.py``, ``test_acceptance.py``,
 ``test_scheduler.py`` and ``test_sim.py``.
@@ -10,8 +11,16 @@ from itertools import product
 from typing import Optional
 
 from becsim.coding import ControlCatalog, ControlSpec
-from becsim.core import NetworkState, QueueIndex, UserSet, audit_state
-from becsim.movement import ReceptionOutcome, apply_rpm, synthesize_state
+from becsim.core import (
+    NetworkState,
+    QueueIndex,
+    RealPacket,
+    Token,
+    UserSet,
+    audit_state,
+    validate_cc,
+)
+from becsim.movement import ReceptionOutcome, apply_rpm
 from becsim.scheduler import DELIVERED, TransitionTable
 
 # Seven transmitted combinations, grouped into the five scheduling phases of
@@ -108,6 +117,47 @@ _EXPECTED = {
 }
 
 FEEDBACK_TRIPLES = tuple("".join(t) for t in product("RE", repeat=3))
+
+
+def synthesize_state(n_users: int, entries) -> NetworkState:
+    """Build a consistent state holding one packet per (listeners,
+    destinations[, extra]) entry.
+
+    Each packet carries one fresh pending native per destination, plus
+    `extra` already-delivered natives to model composites with history.
+    Listener and destination knowledge is seeded so the deep audit passes.
+    """
+    state = NetworkState(n_users)
+    for entry in entries:
+        l, d, *rest = entry
+        extra = rest[0] if rest else 0
+        qi = QueueIndex(UserSet.from_iterable(l), UserSet.from_iterable(d))
+        assert validate_cc(qi, n_users)
+        pending = {}
+        cons = set()
+        for i in qi.destinations:
+            n = state.fresh_native(i)
+            pending[i] = n
+            cons.add(n)
+        pool = list(qi.listeners) or list(qi.destinations)
+        for t in range(extra):
+            owner = pool[t % len(pool)]
+            n = state.fresh_native(owner)
+            state.decoded[owner].add(n)
+            state.bases[owner].insert(frozenset([n]))
+            cons.add(n)
+        p = RealPacket(state.fresh_pid(), frozenset(cons), qi)
+        state.append_packet(p)
+        for i, n in pending.items():
+            state.append_token(Token(n, p.pid, qi))
+        vec = frozenset(cons)
+        for i in qi.listeners:
+            state.bases[i].insert(vec)
+        for i in qi.destinations:
+            for n in cons:
+                if n != pending[i]:
+                    state.bases[i].insert(frozenset([n]))
+    return state
 
 
 def run_reference_row(table: int, triple: str) -> dict:

@@ -27,7 +27,6 @@ from becsim.movement import (
     ReceptionOutcome,
     RpmCase,
     apply_rpm,
-    synthesize_state,
 )
 from becsim.regions import (
     LinearIneq,
@@ -40,7 +39,12 @@ from becsim.regions import (
 )
 from becsim.scheduler import DELIVERED, TransitionTable, derive_transitions
 from becsim.sim import SimConfig, run, stability_probe
-from reference_rows import FEEDBACK_TRIPLES, PHASE_TABLES, run_reference_row
+from reference_rows import (
+    FEEDBACK_TRIPLES,
+    PHASE_TABLES,
+    run_reference_row,
+    synthesize_state,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -25,16 +25,16 @@ from becsim.movement import (
     RpmCase,
     apply_rpm,
     plan_moves,
-    synthesize_state,
     tilde_l,
 )
-from becsim.scheduler import DELIVERED, derive_transitions
-from becsim.sim import _compile_deltas, _Delta, _queue_space
+from becsim.scheduler import DELIVERED, _Delta, _queue_space, derive_transitions
+from becsim.sim import _compile_deltas
 from reference_rows import (
     FEEDBACK_TRIPLES,
     PHASE_TABLES,
     conformance_tables,
     run_reference_row,
+    synthesize_state,
 )
 
 

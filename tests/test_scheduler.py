@@ -5,24 +5,22 @@ strict; empirical convergence is checked against binomial noise bounds.
 """
 
 import math
+import os
 import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
-from becsim import scheduler
-from becsim.channel import ErasureModel, make_rng
+from becsim import scheduler, sim
+from becsim.channel import ArrivalModel, ErasureModel, make_rng
 from becsim.coding import ControlSpec, enumerate_controls
-from becsim.core import QueueIndex, UserSet
-from becsim.movement import ReceptionOutcome, apply_rpm, synthesize_state
-from becsim.scheduler import (
-    DELIVERED,
-    TransitionTable,
-    control_nodes,
-    derive_transitions,
-)
-from reference_rows import eligible, reward, select_control
+from becsim.core import NetworkState, QueueIndex, UserSet
+from becsim.movement import ReceptionOutcome, apply_rpm
+from becsim.scheduler import DELIVERED, TransitionTable, derive_transitions
+from reference_rows import eligible, reward, select_control, synthesize_state
 
 
 def U(*xs):
@@ -37,6 +35,10 @@ def QI(l, d):
 JOINT2 = ErasureModel.joint(
     2, {(): F(1, 10), (0,): F(1, 5), (1,): F(3, 10), (0, 1): F(2, 5)}
 )
+
+
+# Q[{}->0] and Q[{}->1]: neither pair's listeners hear the other's destination
+NON_COMBINABLE = ControlSpec.of(((), (0,)), ((), (1,)))
 
 
 def rational_joint(n_users, seed):
@@ -123,7 +125,7 @@ class TestDeriveTransitions:
         model = rational_joint(3, "memo")
         catalog = enumerate_controls(3)
         warm = [derive_transitions(spec, model) for spec in catalog]
-        monkeypatch.setattr(scheduler, "_LANDING_CACHE", {})
+        monkeypatch.setattr(scheduler, "_PLAN_CACHE", {})
         cold = [derive_transitions(spec, model) for spec in catalog]
         assert cold == warm
         assert [derive_transitions(spec, model) for spec in catalog] == warm
@@ -131,8 +133,13 @@ class TestDeriveTransitions:
     def test_unknown_user_fails(self):
         # Q[2->0] names user 2, which a two-user model does not have
         spec = ControlSpec.of(((2,), (0,)))
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             derive_transitions(spec, ErasureModel.iid(2, F(1, 2)))
+
+    def test_non_combinable_control_fails(self):
+        # user 0's packet is not heard by the other pair's listeners
+        with pytest.raises(ValueError, match="not combinable"):
+            derive_transitions(NON_COMBINABLE, ErasureModel.iid(2, F(1, 2)))
 
     def test_certain_erasure_self_loops(self):
         model = ErasureModel.iid(3, 1)
@@ -220,8 +227,95 @@ class TestSelectControl:
 
     def test_nodes_cover_all_pair_destinations(self):
         spec = ControlSpec.of(((2,), (0, 1)), ((0, 1), (2,)))
-        assert set(control_nodes(spec)) == {
+        edges = derive_transitions(spec, ErasureModel.iid(3, F(1, 2)))
+        assert set(edges) == {
             (QI((2,), (0, 1)), 0),
             (QI((2,), (0, 1)), 1),
             (QI((0, 1), (2,)), 2),
         }
+
+
+class TestBadControls:
+    def test_apply_rpm_rejects_unknown_user(self):
+        spec = ControlSpec.of(((2,), (0,)))
+        with pytest.raises(ValueError, match="queue criteria for 2 users"):
+            apply_rpm(NetworkState(2), spec, None, ReceptionOutcome(U(0)))
+
+    def test_apply_rpm_rejects_non_combinable(self):
+        state = synthesize_state(2, [((), (0,)), ((), (1,))])
+        with pytest.raises(ValueError, match="not combinable"):
+            apply_rpm(state, NON_COMBINABLE, None, ReceptionOutcome(U(0)))
+
+    def test_rejected_without_asserts(self):
+        # python -O strips assert statements; the checks must not be asserts
+        code = """
+from becsim.channel import ErasureModel
+from becsim.coding import ControlSpec
+from becsim.core import NetworkState, UserSet
+from becsim.movement import ReceptionOutcome, apply_rpm
+from becsim.scheduler import derive_transitions
+
+print(__debug__)
+unknown = ControlSpec.of(((2,), (0,)))
+non_combinable = ControlSpec.of(((), (0,)), ((), (1,)))
+state = NetworkState(2)
+state.arrival(0)
+state.arrival(1)
+model = ErasureModel.iid(2, 0.5)
+for call in (
+    lambda: derive_transitions(unknown, model),
+    lambda: derive_transitions(non_combinable, model),
+    lambda: apply_rpm(NetworkState(2), unknown, None, ReceptionOutcome(UserSet.of(0))),
+    lambda: apply_rpm(state, non_combinable, None, ReceptionOutcome(UserSet.of(0))),
+):
+    try:
+        call()
+        print("accepted")
+    except ValueError as err:
+        print("ValueError", err)
+"""
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.splitlines()
+        assert out[0] == "False"
+        ends = ["for 2 users", "not combinable"] * 2
+        assert len(out) == 5, out
+        for line, end in zip(out[1:], ends):
+            assert line.startswith("ValueError") and line.endswith(end), out
+
+
+class TestPlanMemo:
+    def test_each_control_and_reception_set_planned_once(self, monkeypatch):
+        calls = []
+        plan_moves = scheduler.plan_moves
+
+        def counted(spec, s):
+            calls.append((spec, s.mask))
+            return plan_moves(spec, s)
+
+        # every binding of the planner outside movement, which apply_rpm uses
+        for module in (scheduler, sim):
+            if hasattr(module, "plan_moves"):
+                monkeypatch.setattr(module, "plan_moves", counted)
+        monkeypatch.setattr(scheduler, "_PLAN_CACHE", {})
+        monkeypatch.setattr(sim, "_LAST_COMPILED", [None, None])
+        config = sim.SimConfig(
+            n_users=3,
+            horizon=1,
+            erasure=ErasureModel.iid(3, F(1, 4)),
+            arrivals=ArrivalModel.bernoulli([F(1, 10)] * 3),
+            engine="counts",
+            policy="maxweight",
+        )
+        sim.compile_catalog(config)
+        catalog = enumerate_controls(3)
+        for model in (ErasureModel.iid(3, F(1, 4)), rational_joint(3, "memo-count")):
+            TransitionTable.for_catalog(catalog, model)
+        # 31 controls times 8 reception sets, each planned exactly once
+        assert len(calls) == len(set(calls)) == len(catalog) * 8 == 248

@@ -19,13 +19,11 @@ from hypothesis import strategies as st
 from becsim.channel import ArrivalModel, ErasureModel
 from becsim.coding import enumerate_controls
 from becsim.core import ConfigError, MonitorViolation, QueueIndex, UserSet
-from becsim.movement import synthesize_state
-from becsim.scheduler import DELIVERED, TransitionTable
+from becsim.scheduler import DELIVERED, TransitionTable, _queue_space
 from becsim.sim import (
     SimConfig,
     _CountQueues,
     _ObjectQueues,
-    _queue_space,
     _select,
     _SelectMemo,
     compile_catalog,
@@ -34,7 +32,7 @@ from becsim.sim import (
     summarize,
     worker_count,
 )
-from reference_rows import select_control
+from reference_rows import select_control, synthesize_state
 
 JOINT2 = ErasureModel.joint(
     2, {(): F(1, 10), (0,): F(1, 5), (1,): F(3, 10), (0, 1): F(2, 5)}
