@@ -144,15 +144,15 @@ class QueueIndex:
 
 def validate_cc(index: QueueIndex, n_users: int) -> bool:
     """Compatibility criteria for a queue index."""
-    full = UserSet.full(n_users)
-    if not (index.listeners.issubset(full) and index.destinations.issubset(full)):
-        return False  # CC1
-    if not index.listeners.isdisjoint(index.destinations):
+    l, d = index.listeners.mask, index.destinations.mask
+    if (l | d) >> n_users:
+        return False  # CC1: every user below n_users
+    if l & d:
         return False  # CC2
-    if not index.destinations:
+    if not d:
         return False  # CC3
-    if not index.listeners and len(index.destinations) != 1:
-        return False  # CC4
+    if not l and d & (d - 1):
+        return False  # CC4: a root queue has exactly one destination
     return True
 
 

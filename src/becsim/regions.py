@@ -281,40 +281,39 @@ def _phi_closed(lam, eps) -> _PhiTables:
     return t
 
 
-def _assemble(t: _PhiTables, relabel) -> FlowCertificate:
+# (relabel, pair pattern) -> spec, so equal specs of one order are one object
+_SPEC_OF: dict = {}
+
+
+def _assemble(t: _PhiTables, relabel: tuple) -> FlowCertificate:
     phi = {}
 
     def emit(pairs, value):
-        spec = ControlSpec.of(
-            *(
-                (tuple(relabel[u] for u in l), tuple(relabel[u] for u in d))
-                for l, d in pairs
+        spec = _SPEC_OF.get((relabel, pairs))
+        if spec is None:
+            spec = _SPEC_OF[relabel, pairs] = ControlSpec.of(
+                *(
+                    (tuple(relabel[u] for u in l), tuple(relabel[u] for u in d))
+                    for l, d in pairs
+                )
             )
-        )
         phi[spec] = value
 
     for i, v in t.phi1.items():
-        emit([((), (i,))], v)
+        emit((((), (i,)),), v)
     for (i, j), v in t.phi2.items():
-        emit([((j,), (i,)), ((i,), (j,))], v)
+        emit((((j,), (i,)), ((i,), (j,))), v)
     for ((i, j), k), v in t.phi31.items():
-        emit([((k,), (i, j)), ((i, j), (k,))], v)
+        emit((((k,), (i, j)), ((i, j), (k,))), v)
     for (i, j, k), v in t.phi33.items():
-        emit([((j, k), (i,)), ((i, k), (j,)), ((i, j), (k,))], v)
+        emit((((j, k), (i,)), ((i, k), (j,)), ((i, j), (k,))), v)
     for tri, v in t.phi41.items():
         (l,) = tuple(u for u in range(4) if u not in tri)
-        emit([((l,), tri), (tri, (l,))], v)
+        emit((((l,), tri), (tri, (l,))), v)
     for (a, b), v in t.phi42.items():
-        emit([(b, a), (a, b)], v)
-    emit(
-        [
-            ((1, 2, 3), (0,)),
-            ((0, 2, 3), (1,)),
-            ((0, 1, 3), (2,)),
-            ((0, 1, 2), (3,)),
-        ],
-        t.phi44,
-    )
+        emit(((b, a), (a, b)), v)
+    others = tuple((tuple(v for v in range(4) if v != u), (u,)) for u in range(4))
+    emit(others, t.phi44)
     return FlowCertificate(phi)
 
 
@@ -327,7 +326,7 @@ def build_phi_4user(
     _validate_rates(rates, 4)
     if not 0 <= eps < 1:
         raise ConfigError(f"erasure probability {eps} outside [0, 1)")
-    order = sorted(range(4), key=lambda u: rates[u], reverse=True)
+    order = tuple(sorted(range(4), key=lambda u: rates[u], reverse=True))
     lam = tuple(rates[u] for u in order)
     if lam != rates and not relabel:
         raise UnsortedRateError("rates must be non-increasing")
@@ -371,6 +370,22 @@ def _flow_balance(edges_of: Mapping, n_users: int) -> list:
     return rows
 
 
+# (key, rows) of the last build; the key copies the edges in order, so tables
+# edited in place miss, and a repeat compares the same objects, no arithmetic
+_LAST_ROWS: list = [None, None]
+
+
+def _rows_of(edges_of: Mapping, n_users: int) -> list:
+    """_flow_balance(edges_of, n_users), built once for equal inputs in a row."""
+    key = n_users, [
+        (spec, [(node, list(targets.items())) for node, targets in edges.items()])
+        for spec, edges in edges_of.items()
+    ]
+    if _LAST_ROWS[0] != key:
+        _LAST_ROWS[:] = key, _flow_balance(edges_of, n_users)
+    return _LAST_ROWS[1]
+
+
 def feasibility_check(
     rates: RateVector,
     certificate: FlowCertificate,
@@ -381,20 +396,23 @@ def feasibility_check(
     transitions: Optional[dict] = None,
 ) -> dict:
     """Verify arrival + inflow <= outflow at every virtual queue under the
-    certificate's time shares; report the worst slack."""
+    certificate's time shares; report the worst slack.  Raises ValueError
+    when transitions lack a control that has a nonzero share."""
     _validate_rates(rates, model.n_users)
     known = set(catalog.controls)
     unknown = [spec for spec in certificate.phi if spec not in known]
     shares = {spec: share for spec, share in certificate.phi.items() if share}
-    edges_of = {
-        spec: derive_transitions(spec, model)
-        if transitions is None
-        else transitions[spec]
-        for spec in shares
-    }
+    edges_of = {}
+    for spec in shares:
+        if transitions is None:
+            edges_of[spec] = derive_transitions(spec, model)
+        elif spec in transitions:
+            edges_of[spec] = transitions[spec]
+        else:
+            raise ValueError(f"transitions lack the certificate's control {spec!r}")
     violations = []
     worst_node, worst_slack = None, None
-    for node, root, net in _flow_balance(edges_of, model.n_users):
+    for node, root, net in _rows_of(edges_of, model.n_users):
         net_inflow = sum(shares[spec] * c for spec, c in net.items())
         slack = -net_inflow - (0 if root is None else rates[root])
         if worst_slack is None or slack < worst_slack:

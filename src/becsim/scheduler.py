@@ -141,10 +141,12 @@ class TransitionTable:
         return self.entries[spec]
 
     def validate(self) -> None:
+        """Raise ValueError unless every node's probabilities sum to one."""
         for spec, per_node in self.entries.items():
             for node, targets in per_node.items():
                 total = sum(targets.values())
-                assert abs(total - 1) <= _TOL, (spec, node, total)
+                if abs(total - 1) > _TOL:
+                    raise ValueError(f"{spec!r} row {node!r} sums to {total}")
 
     def to_json(self) -> str:
         def node_key(node):

@@ -68,6 +68,22 @@ class TestQueueIndex:
         assert not validate_cc(QueueIndex(U(2), EMPTY), 3)  # CC3
         assert not validate_cc(QueueIndex(U(3), U(0)), 3)  # CC1
 
+    @pytest.mark.parametrize("n_users", range(1, 6))
+    def test_validate_cc_matches_set_definition(self, n_users):
+        # the criteria as set relations, over every (L, D) on six users
+        full = UserSet.full(n_users)
+        for lm in range(1 << 6):
+            for dm in range(1 << 6):
+                l, d = UserSet(lm), UserSet(dm)
+                want = (
+                    l.issubset(full)
+                    and d.issubset(full)
+                    and l.isdisjoint(d)
+                    and bool(d)
+                    and (bool(l) or len(d) == 1)
+                )
+                assert validate_cc(QueueIndex(l, d), n_users) == want, (l, d)
+
     def test_level_sublevel(self):
         qi = QueueIndex(U(2), U(0, 1))
         assert qi.level == 3

@@ -363,6 +363,115 @@ class TestFeasibilityCheck:
         assert not report["violations"]
 
 
+class TestCertificateMemo:
+    """feasibility_check keeps the flow-balance rows of its last call and
+    build_phi_4user reuses its spec objects; neither may change a verdict."""
+
+    CATALOG = enumerate_controls(4, restriction="table8")
+
+    @staticmethod
+    def memo_free(monkeypatch, *args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(regions, "_rows_of", regions._flow_balance)
+            return feasibility_check(*args, **kwargs)
+
+    @staticmethod
+    def rays(rng, eps, count, floats=False, shuffle=False):
+        out = []
+        for _ in range(count):
+            weights = sorted(
+                (F(rng.randrange(1, 1000), 1000) for _ in range(4)), reverse=True
+            )
+            load = sum(w / (1 - eps ** (k + 1)) for k, w in enumerate(weights))
+            ray = [F(99, 100) * w / load for w in weights]
+            if shuffle:
+                rng.shuffle(ray)
+            out.append(tuple(map(float, ray)) if floats else tuple(ray))
+        return out
+
+    def test_rows_built_once_per_transition_set(self, monkeypatch):
+        calls = []
+        flow_balance = regions._flow_balance
+
+        def counted(edges_of, n_users):
+            calls.append(n_users)
+            return flow_balance(edges_of, n_users)
+
+        monkeypatch.setattr(regions, "_flow_balance", counted)
+        monkeypatch.setattr(regions, "_LAST_ROWS", [None, None])
+        eps, model = F(3, 10), iid4(F(3, 10))
+        transitions = None
+        for rates in self.rays(random.Random("memo-once"), eps, 8):
+            cert = build_phi_4user(rates, eps)
+            if transitions is None:
+                transitions = {s: derive_transitions(s, model) for s in cert.phi}
+            verdict = feasibility_check(
+                rates, cert, model, self.CATALOG, tol=0, transitions=transitions
+            )
+            assert verdict["feasible"]
+        assert len(calls) == 1
+
+    def test_tables_edited_in_place_miss_the_memo(self, monkeypatch):
+        eps, model = F(1, 2), iid4(F(1, 2))
+        cert = build_phi_4user(LAM4, eps)
+        transitions = {s: derive_transitions(s, model) for s in cert.phi}
+        args = (LAM4, cert, model, self.CATALOG)
+        assert feasibility_check(*args, tol=0, transitions=transitions)["feasible"]
+        # user 0's root token now stays put 1/100 more often than it should
+        root = ControlSpec.of(((), (0,)))
+        node = (QueueIndex(EMPTY, UserSet.of(0)), 0)
+        targets = transitions[root][node]
+        targets[regions.DELIVERED] -= F(1, 100)
+        targets[node] += F(1, 100)
+        verdict = feasibility_check(*args, tol=0, transitions=transitions)
+        assert verdict == self.memo_free(
+            monkeypatch, *args, tol=0, transitions=transitions
+        )
+        assert not verdict["feasible"] and verdict["worst_node"] == node
+
+    @pytest.mark.parametrize("floats", [False, True], ids=["fraction", "float"])
+    def test_verdicts_equal_memo_free_on_random_rays(self, monkeypatch, floats):
+        # shuffled rays relabel the users, so one support comes in several
+        # orders, and float sums depend on the order of the terms
+        rng = random.Random(f"memo-rays-{floats}")
+        for eps in (F(0), F(1, 10), F(1, 2), F(7, 10)):
+            model = iid4(eps)
+            # catalog-keyed tables, as the CLI passes them, and no tables
+            catalog_tables = {s: derive_transitions(s, model) for s in self.CATALOG}
+            for rates in self.rays(rng, eps, 10, floats=floats, shuffle=True):
+                cert = build_phi_4user(rates, float(eps) if floats else eps)
+                for transitions in (catalog_tables, None):
+                    args = (rates, cert, model, self.CATALOG)
+                    verdict = feasibility_check(*args, transitions=transitions)
+                    assert verdict == self.memo_free(
+                        monkeypatch, *args, transitions=transitions
+                    )
+                    assert verdict["feasible"]
+
+    def test_missing_control_named(self):
+        model = iid4(F(1, 2))
+        cert = build_phi_4user(LAM4, F(1, 2))
+        transitions = {s: derive_transitions(s, model) for s in cert.phi}
+        dropped = ControlSpec.of(((1,), (0,)), ((0,), (1,)))
+        del transitions[dropped]
+        with pytest.raises(ValueError) as err:
+            feasibility_check(LAM4, cert, model, self.CATALOG, transitions=transitions)
+        want = f"transitions lack the certificate's control {dropped!r}"
+        assert str(err.value) == want
+
+    def test_same_order_shares_spec_objects(self, monkeypatch):
+        shuffled = (F(8, 100), F(23, 100), F(18, 100), F(12, 100))
+        first = build_phi_4user(shuffled, F(1, 2))
+        halved = tuple(r / 2 for r in shuffled)
+        again = build_phi_4user(halved, F(1, 3), method="closed")
+        assert all(a is b for a, b in zip(first.phi, again.phi, strict=True))
+        monkeypatch.setattr(regions, "_SPEC_OF", {})
+        fresh = build_phi_4user(shuffled, F(1, 2))
+        for spec, new in zip(first.phi, fresh.phi, strict=True):
+            assert spec == new and spec is not new
+        assert fresh.phi == first.phi
+
+
 class TestFlowChecksAgree:
     """feasibility_check and build_flow_polyhedron read one flow balance:
     the polyhedron holds a certificate's point exactly when the check

@@ -289,6 +289,18 @@ for call in (
         for line, end in zip(out[1:], ends):
             assert line.startswith("ValueError") and line.endswith(end), out
 
+    def test_table_row_not_summing_to_one_rejected(self):
+        # a raise, not an assert, so python -O keeps the check
+        model = ErasureModel.iid(2, F(1, 2))
+        table = TransitionTable.for_catalog(enumerate_controls(2), model)
+        spec = ControlSpec.of(((1,), (0,)), ((0,), (1,)))
+        node = (QI((1,), (0,)), 0)
+        entries = dict(table.entries)
+        entries[spec] = {**entries[spec], node: {DELIVERED: F(9, 10)}}
+        with pytest.raises(ValueError) as err:
+            TransitionTable(entries).validate()
+        assert str(err.value) == f"{spec!r} row {node!r} sums to 9/10"
+
 
 class TestPlanMemo:
     def test_each_control_and_reception_set_planned_once(self, monkeypatch):
