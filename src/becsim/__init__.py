@@ -46,7 +46,6 @@ from .regions import (
     InfeasibleRateError,
     LinearIneq,
     Polyhedron,
-    UnsortedRateError,
     build_flow_polyhedron,
     build_phi_4user,
     capacity_bound_margin,
@@ -97,7 +96,6 @@ __all__ = [
     "TABLE8",
     "Token",
     "TransitionTable",
-    "UnsortedRateError",
     "UserSet",
     "apply_rpm",
     "audit_state",

@@ -34,10 +34,6 @@ def exact(value) -> Fraction:
     return Fraction(str(value))
 
 
-def _as_user_set(key) -> UserSet:
-    return key if isinstance(key, UserSet) else UserSet.from_iterable(key)
-
-
 def _sampling_table(entries) -> tuple:
     """Positive-mass (outcome, p) entries with float cumulative bounds."""
     outcomes, bounds = [], []
@@ -93,11 +89,11 @@ class ErasureModel:
         check_n_users(n_users)
         table = {}
         total = 0
-        full = UserSet.full(n_users)
         for key, p in pmf.items():
-            s = _as_user_set(key)
-            if not s.issubset(full):
-                raise ConfigError(f"reception set {s!r} mentions unknown users")
+            users = tuple(key)  # a UserSet iterates over its users
+            if not all(0 <= u < n_users for u in users):
+                raise ConfigError(f"reception set {key!r} mentions unknown users")
+            s = UserSet.of(*users)
             if not p >= 0:
                 raise ConfigError(f"probability {p} is negative or not a number")
             table[s.mask] = table.get(s.mask, 0) + p

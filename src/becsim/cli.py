@@ -295,9 +295,7 @@ def _regions_rays(n, eps, count, boundary, seed):
 def _cmd_regions(args) -> int:
     doc = _document(args)
     n = _integer(doc, "n_users", 4)
-    if "iid_eps" in doc:
-        eps_grid = (_fraction(doc["iid_eps"], "iid_eps"),)
-    elif "erasure" in doc and "eps_grid" not in doc:
+    if "iid_eps" in doc or "erasure" in doc and "eps_grid" not in doc:
         model = _erasure_from_doc(doc, n)
         if model.eps is None or len(set(model.eps)) != 1:
             raise ConfigError(

@@ -194,8 +194,8 @@ class ReceiverBasis:
 
     __slots__ = ("rows",)
 
-    def __init__(self, rows=None):
-        self.rows = dict(rows) if rows else {}
+    def __init__(self):
+        self.rows = {}
 
     def reduce(self, vector) -> frozenset:
         """Residual of vector modulo the span (empty iff reconstructible)."""
@@ -221,9 +221,6 @@ class ReceiverBasis:
 
     def clear(self) -> None:
         self.rows.clear()
-
-    def copy(self) -> "ReceiverBasis":
-        return ReceiverBasis(self.rows)
 
 
 class NetworkState:
@@ -312,27 +309,6 @@ class NetworkState:
 
     def v_hat(self) -> int:
         return sum(self.counters.values())
-
-    def copy(self) -> "NetworkState":
-        """Independent deep copy (packets/tokens cloned)."""
-        other = NetworkState(self.n_users)
-        other._next_pid = self._next_pid
-        other._next_seq = list(self._next_seq)
-        clones = {}
-        for qi, packets in self.real_queues.items():
-            other.real_queues[qi] = [
-                RealPacket(p.pid, p.constituents, p.location) for p in packets
-            ]
-            for p in other.real_queues[qi]:
-                clones[p.pid] = p
-        for key, tokens in self.virtual_queues.items():
-            other.virtual_queues[key] = [
-                Token(t.native, t.packet_id, t.location) for t in tokens
-            ]
-        other.counters = dict(self.counters)
-        other.bases = [b.copy() for b in self.bases]
-        other.decoded = [set(s) for s in self.decoded]
-        return other
 
 
 def audit_state(state: NetworkState, deep: bool = False) -> list:

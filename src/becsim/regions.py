@@ -32,10 +32,6 @@ class InfeasibleRateError(ConfigError, ValueError):
     """The requested rates lie outside the achievable region."""
 
 
-class UnsortedRateError(ValueError):
-    """The certificate construction requires non-increasing rates."""
-
-
 def _validate_rates(rates, n_users):
     if len(rates) != n_users:
         raise ConfigError("one rate per user required")
@@ -318,7 +314,7 @@ def _assemble(t: _PhiTables, relabel: tuple) -> FlowCertificate:
 
 
 def build_phi_4user(
-    rates: RateVector, eps, *, method: str = "recursive", relabel: bool = True
+    rates: RateVector, eps, *, method: str = "recursive"
 ) -> FlowCertificate:
     """Explicit stabilizing time-share assignment for 4 users, equal
     independent erasure probability eps, rates inside the bound."""
@@ -328,8 +324,6 @@ def build_phi_4user(
         raise ConfigError(f"erasure probability {eps} outside [0, 1)")
     order = tuple(sorted(range(4), key=lambda u: rates[u], reverse=True))
     lam = tuple(rates[u] for u in order)
-    if lam != rates and not relabel:
-        raise UnsortedRateError("rates must be non-increasing")
     load = sum(lam[i] / (1 - eps ** (i + 1)) for i in range(4))
     if load > 1:
         raise InfeasibleRateError(f"weighted load {load} exceeds 1")

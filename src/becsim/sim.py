@@ -13,18 +13,20 @@ identical per-slot metrics from the same seed:
   audits and decode checks do not exist here; cross-engine equality is the
   check instead.
 
-Compiling a catalog reads each control's delta table from
+Compiling a catalog gives each control one delta table and one int table,
+the same for every engine and policy.  The delta table is
 ``scheduler.deltas_of``: the plan of every reception set, routes mapped to
 queue ids, one route (source, target or None) per popped head, planned
 once per process and shared with ``derive_transitions``.  The counts
-backend moves along those routes, and the max-weight rows are
-``scheduler.fold_landings`` of them with the reception pmf; the object
-engine carries the same plans out through ``apply_rpm``.  The erasure
-model holds exact values only (a float reads as its decimal), so selection
-compares the rows scaled to integers by the pmf's least common
-denominator: drift ties are exact and cheap, and catalog order breaks them
-for any input type.  A process keeps its last compiled catalog and hands
-it to the next run with the same inputs.
+backend moves along those routes; the object engine carries the same plans
+out through ``apply_rpm``.  The erasure model holds exact values only (a
+float reads as its decimal), so each probability times the pmf's least
+common denominator D is an int, and the max-weight rows are
+``scheduler.fold_landings`` of the routes with those ints, deliveries
+dropped: the transition table times D.  Drift ties are exact and cheap,
+and catalog order breaks them for any input type.  A process keeps its
+last compile and hands it to the next run with the same users, catalog and
+pmf.
 
 Selection is incremental.  The compile keeps, per queue id, a readers mask:
 the controls whose rows read that queue as a source or a target.  Each
@@ -48,7 +50,7 @@ from math import factorial, lcm
 from typing import Optional
 
 from .channel import ArrivalModel, ErasureModel, make_rng, sample_arrivals, sample_reception
-from .coding import FULL, ControlCatalog, ControlSpec, enumerate_controls
+from .coding import FULL, ControlSpec, enumerate_controls
 from .core import (
     ConfigError,
     MonitorViolation,
@@ -137,9 +139,8 @@ class _CompiledControl:
     queue_ids: tuple
     required_mask: int
     exit_level: int
-    node_terms: tuple = ()  # ((src_q, ((tgt_q, p), ...)), ...)
-    scaled_terms: tuple = ()  # node_terms with every p times _Compiled.scale
-    deltas: Optional[dict] = None  # s_mask -> _Delta
+    rows: tuple  # ((src_q, ((tgt_q, p times _Compiled.scale), ...)), ...)
+    deltas: dict  # s_mask -> _Delta
 
 
 @dataclass
@@ -149,36 +150,8 @@ class _Compiled:
     levels: tuple
     roots: tuple  # queue id of Q^{}_{i} per user
     controls: list
-    scale: int  # the pmf's least common denominator; 1 without rows
+    scale: int  # the pmf's least common denominator
     readers: tuple  # per queue id, the mask of controls whose rows read it
-
-
-def _compile_deltas(catalog: ControlCatalog) -> list:
-    """The delta table of every control, in catalog order."""
-    return [deltas_of(spec, catalog.n_users) for spec in catalog]
-
-
-def _fold_terms(queues, cc: _CompiledControl, pmf: list) -> tuple:
-    """Max-weight rows of one control: the landing fold of
-    ``scheduler.fold_landings`` by queue id, deliveries dropped, so the rows
-    equal ``derive_transitions``' table without its deliveries."""
-    nodes, buckets = fold_landings(queues, cc.queue_ids, cc.deltas, pmf)
-    return tuple(
-        (q, tuple((tgt[0], p) for tgt, p in bucket.items() if tgt is not None))
-        for (q, _i), bucket in zip(nodes, buckets)
-    )
-
-
-def _scale_terms(controls, pmf) -> int:
-    """Give each control its rows times the pmf's least common denominator
-    D, all ints, and return D."""
-    scale = lcm(*(p.denominator for _s, p in pmf))
-    for cc in controls:
-        cc.scaled_terms = tuple(
-            (src, tuple((tgt, int(p * scale)) for tgt, p in row))
-            for src, row in cc.node_terms
-        )
-    return scale
 
 
 # (key, _Compiled) of the last compile in this process; runs only read it
@@ -187,52 +160,37 @@ _LAST_COMPILED: list = [None, None]
 
 def compile_catalog(config: SimConfig) -> _Compiled:
     """Compile the catalog, or return the last compile when its inputs
-    are equal."""
+    are equal.  Every engine and policy reads the same compile."""
     pmf = list(config.erasure.pmf())
-    # the engine matters only through whether the delta tables are built
-    with_deltas = config.engine == "counts" or config.policy == "maxweight"
-    key = (
-        config.n_users,
-        config.restriction,
-        with_deltas,
-        config.policy,
-        tuple((s.mask, p) for s, p in pmf),
-    )
+    key = (config.n_users, config.restriction, tuple((s.mask, p) for s, p in pmf))
     if _LAST_COMPILED[0] == key:
         return _LAST_COMPILED[1]
     n = config.n_users
-    catalog = enumerate_controls(n, config.restriction)
     queues, qidx, weights, levels, roots = _queue_space(n)
+    scale = lcm(*(p.denominator for _s, p in pmf))
+    scaled_pmf = [(s, int(p * scale)) for s, p in pmf]
     controls = []
-    for index, spec in enumerate(catalog):
-        ids = tuple(qidx[qi] for qi in spec.sorted_pairs)
-        mask = 0
-        for q in ids:
-            mask |= 1 << q
-        controls.append(
-            _CompiledControl(
-                index=index,
-                spec=spec,
-                queue_ids=ids,
-                required_mask=mask,
-                exit_level=max(qi.level for qi in spec.sorted_pairs),
-            )
-        )
-    if with_deltas:
-        for cc, deltas in zip(controls, _compile_deltas(catalog)):
-            cc.deltas = deltas
-    scale = 1
-    if config.policy == "maxweight":
-        for cc in controls:
-            cc.node_terms = _fold_terms(queues, cc, pmf)
-        scale = _scale_terms(controls, pmf)
     readers = [0] * len(queues)
-    for cc in controls:
-        bit = 1 << cc.index
-        for src, row in cc.scaled_terms:
+    for index, spec in enumerate(enumerate_controls(n, config.restriction)):
+        ids = tuple(qidx[qi] for qi in spec.sorted_pairs)
+        deltas = deltas_of(spec, n)
+        # the landing fold by queue id, deliveries dropped: the rows equal
+        # derive_transitions' table without its deliveries, times scale
+        nodes, buckets = fold_landings(queues, ids, deltas, scaled_pmf)
+        rows = tuple(
+            (q, tuple((tgt[0], w) for tgt, w in bucket.items() if tgt is not None))
+            for (q, _i), bucket in zip(nodes, buckets)
+        )
+        mask = sum(1 << q for q in ids)
+        bit = 1 << index
+        for src, row in rows:
             readers[src] |= bit
-            for tgt, _p in row:
+            for tgt, _w in row:
                 readers[tgt] |= bit
+        exit_level = max(qi.level for qi in spec.sorted_pairs)
+        controls.append(
+            _CompiledControl(index, spec, ids, mask, exit_level, rows, deltas)
+        )
     compiled = _Compiled(
         queues, weights, levels, roots, controls, scale, tuple(readers)
     )
@@ -299,7 +257,7 @@ def _select(compiled: _Compiled, lengths, nonzero_mask, policy, rng, memo=None):
             idx = low.bit_length() - 1
             todo ^= low
             reward = 0
-            for src, row in controls[idx].scaled_terms:
+            for src, row in controls[idx].rows:
                 drift = scale * lengths[src]
                 for tgt, p in row:
                     drift -= p * lengths[tgt]

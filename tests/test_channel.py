@@ -102,6 +102,11 @@ class TestPGs:
         with pytest.raises(ConfigError):
             ErasureModel.iid(2, float("nan"))
 
+    @pytest.mark.parametrize("key", [(2,), (0, 20), (-1,), U(0, 2)])
+    def test_unknown_users_rejected(self, key):
+        with pytest.raises(ConfigError, match="mentions unknown users"):
+            ErasureModel.joint(2, {key: 1})
+
 
 class TestSampling:
     def test_degenerate_erasure(self):

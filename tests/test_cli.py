@@ -310,6 +310,8 @@ class TestExitCodes:
             ("regions", {}, ["--n", "0"]),
             ("regions", {"erasure": {"iid": ["1/3", "1/4"]}}, []),
             ("regions", {"erasure": {"joint": {"0,1": "1"}}}, []),
+            ("simulate", {"erasure": {"joint": {"20": "1/2", "1": "1/2"}}}, []),
+            ("derive-table", {"erasure": {"joint": {"20": "1/2", "1": "1/2"}}}, []),
         ],
         ids=[
             "joint-key-not-a-number",
@@ -331,6 +333,8 @@ class TestExitCodes:
             "regions-no-users",
             "regions-per-user-erasure",
             "regions-joint-erasure",
+            "joint-key-above-user-cap",
+            "derive-table-joint-key-above-user-cap",
         ],
     )
     def test_malformed_field_maps_to_one(self, tmp_path, capsys, command, doc, extra):
@@ -338,6 +342,7 @@ class TestExitCodes:
             "simulate": {"n_users": 2, "horizon": 20, "lambda": ["1/5", "1/5"]},
             "probe": {"n_users": 2, "ray": [1, 1], "window": 20, "seeds": 1},
             "regions": {"n_users": 2, "rays": 1},
+            "derive-table": {"n_users": 2},
         }[command]
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({**base, **doc}))

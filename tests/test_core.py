@@ -185,10 +185,3 @@ class TestAuditState:
         s, _ = make_simple_state()
         q, v = s.q_hat(), s.v_hat()
         assert q <= v <= s.n_users * q
-
-    def test_copy_is_independent(self):
-        s, p = make_simple_state()
-        c = s.copy()
-        c.remove_packet(next(iter(c.real_queues.values()))[0])
-        assert s.q_hat() == 1 and c.q_hat() == 0
-        assert audit_state(s, deep=True) == []

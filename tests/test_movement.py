@@ -27,8 +27,13 @@ from becsim.movement import (
     plan_moves,
     tilde_l,
 )
-from becsim.scheduler import DELIVERED, _Delta, _queue_space, derive_transitions
-from becsim.sim import _compile_deltas
+from becsim.scheduler import (
+    DELIVERED,
+    _Delta,
+    _queue_space,
+    deltas_of,
+    derive_transitions,
+)
 from reference_rows import (
     FEEDBACK_TRIPLES,
     PHASE_TABLES,
@@ -407,7 +412,8 @@ class TestPlanner:
     @pytest.mark.parametrize("n_users, restriction", PLANNED_CATALOGS)
     def test_compiled_deltas_match_executed_state(self, n_users, restriction):
         catalog = enumerate_controls(n_users, restriction)
-        assert _compile_deltas(catalog) == reference_deltas(catalog)
+        deltas = [deltas_of(spec, n_users) for spec in catalog]
+        assert deltas == reference_deltas(catalog)
 
     @pytest.mark.parametrize("n_users, restriction", PLANNED_CATALOGS)
     def test_plans_pinned(self, n_users, restriction):

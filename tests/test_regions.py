@@ -15,7 +15,6 @@ from becsim.regions import (
     InfeasibleRateError,
     LinearIneq,
     Polyhedron,
-    UnsortedRateError,
     build_flow_polyhedron,
     build_phi_4user,
     capacity_bound_argmax,
@@ -213,10 +212,6 @@ class TestPhiConstruction:
     def test_infeasible_rates_rejected(self):
         with pytest.raises(InfeasibleRateError):
             build_phi_4user((0.5, 0.3, 0.2, 0.1), 0.5)
-
-    def test_unsorted_rejected_when_strict(self):
-        with pytest.raises(UnsortedRateError):
-            build_phi_4user((0.1, 0.2, 0.05, 0.01), 0.5, relabel=False)
 
     def test_unsorted_rates_are_relabeled(self):
         shuffled = (F(8, 100), F(23, 100), F(18, 100), F(12, 100))

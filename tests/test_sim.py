@@ -9,7 +9,6 @@ means, monitor wiring and probe verdicts.
 """
 
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -335,13 +334,13 @@ class TestSelection:
         queues, qidx, _, _, _ = _queue_space(n)
         specs = list(catalog)
         # the rows folded from the delta table are the reference table's
-        # rows with deliveries dropped, exactly, in the same order
+        # rows with deliveries dropped, times scale, in the same order
         for cc, spec in zip(compiled.controls, specs):
-            assert cc.node_terms == tuple(
+            assert cc.rows == tuple(
                 (
                     qidx[qi],
                     tuple(
-                        (qidx[tgt[0]], p)
+                        (qidx[tgt[0]], p * compiled.scale)
                         for tgt, p in targets.items()
                         if tgt != DELIVERED
                     ),
@@ -375,11 +374,14 @@ class TestSelection:
             make_config(n=n, horizon=1, eps=model, restriction=restriction)
         )
         n_queues = len(compiled.queues)
+        scale = compiled.scale
 
         def reward(cc, lengths):
             total = F(0)
-            for src, row in cc.node_terms:
-                drift = lengths[src] - sum(F(p) * lengths[tgt] for tgt, p in row)
+            for src, row in cc.rows:
+                drift = lengths[src] - sum(
+                    F(w, scale) * lengths[tgt] for tgt, w in row
+                )
                 total += max(drift, 0)
             return total
 
@@ -400,6 +402,29 @@ class TestSelection:
                     if best is None or r > best:
                         want, best = idx, r
             assert _select(compiled, lengths, nonzero, "maxweight", None) == want
+
+    @pytest.mark.parametrize(
+        "n, restriction, model",
+        PARITY,
+        ids=["n2-joint", "n3-rational", "n3-float", "n4-table8"],
+    )
+    def test_rows_and_deliveries_sum_to_scale(self, n, restriction, model):
+        compiled = compile_catalog(
+            make_config(n=n, horizon=1, eps=model, restriction=restriction)
+        )
+        scale = compiled.scale
+        scaled_pmf = [(s, p * scale) for s, p in model.pmf()]
+        for cc in compiled.controls:
+            # the deliveries read from the delta table, not from the rows
+            delivered = {}
+            for s, w in scaled_pmf:
+                for user, count in cc.deltas[s.mask].deliveries:
+                    delivered[user] = delivered.get(user, 0) + w * count
+            users = [i for q in cc.queue_ids for i in compiled.queues[q].destinations]
+            assert len(users) == len(set(users)) == len(cc.rows)
+            for (_src, row), user in zip(cc.rows, users):
+                assert all(type(w) is int and w > 0 for _tgt, w in row)
+                assert sum(w for _tgt, w in row) + delivered.get(user, 0) == scale
 
     @pytest.mark.parametrize("policy", ["maxweight", "random"])
     @pytest.mark.parametrize(
@@ -813,12 +838,9 @@ class TestStabilityProbe:
         assert compiled(0.25) is quarter
         assert quarter.scale == 64
         assert compiled(F(1, 3)) is not compiled(F(1, 4))
-        # max-weight builds the delta tables for either engine
-        cfg = make_config(n=3, eps=F(1, 4), engine="object")
+        # one compile serves every engine and policy
+        cfg = make_config(n=3, eps=F(1, 4), engine="object", policy="random")
         assert compile_catalog(cfg) is compiled(F(1, 4))
-        random_policy = compile_catalog(replace(cfg, policy="random"))
-        assert random_policy.controls[0].deltas is None
-        assert compiled(F(1, 4)) is not random_policy
 
     def test_zero_ray_rejected(self):
         cfg = make_config(n=2, horizon=1, rates=(0.0, 0.0))
