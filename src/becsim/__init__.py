@@ -48,7 +48,6 @@ from .regions import (
     Polyhedron,
     build_flow_polyhedron,
     build_phi_4user,
-    capacity_bound_margin,
     capacity_gap,
     feasibility_check,
     fm_eliminate,
@@ -101,7 +100,6 @@ __all__ = [
     "audit_state",
     "build_flow_polyhedron",
     "build_phi_4user",
-    "capacity_bound_margin",
     "capacity_gap",
     "derive_transitions",
     "enumerate_controls",

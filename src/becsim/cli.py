@@ -335,7 +335,7 @@ def _cmd_regions(args) -> int:
             if check:
                 cert = build_phi_4user(rates, eps)
                 verdict = feasibility_check(
-                    rates, cert, model, catalog, transitions=transitions
+                    rates, cert, model, catalog, tol=0, transitions=transitions
                 )
                 row["phi_total"] = str(cert.total())
                 row["feasible"] = verdict["feasible"]

@@ -5,6 +5,10 @@ queue the sender draws from; the head packets of those queues are XORed into
 a single coded transmission.  A pair set is combinable iff every pair's
 destination set is contained in the listener sets of all other pairs, which
 guarantees each destination can cancel the foreign constituents.
+
+``ControlSpec`` owns the facts derived from its pairs: the union of its
+destination sets, L-tilde, its exit level and the like.  Each is computed
+once per control; the planner, the compile and the checks read them.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Iterable, Iterator
 
 from .core import EMPTY, ConfigError, QueueIndex, UserSet, check_n_users, validate_cc
@@ -22,7 +26,6 @@ TABLE8 = "table8"
 
 # full enumeration is a clique search; beyond 5 users it explodes
 _MAX_FULL_USERS = 5
-_DEFAULT_CAP = 500_000
 
 
 @dataclass(frozen=True)
@@ -68,6 +71,36 @@ class ControlSpec:
             out = out & qi.listeners
         return out
 
+    @cached_property
+    def destinations(self) -> UserSet:
+        """Union of all destination sets."""
+        out = EMPTY
+        for qi in self.pairs:
+            out = out | qi.destinations
+        return out
+
+    @cached_property
+    def tilde_l(self) -> UserSet:
+        """Users listed in at least nu-1 of the listener sets.
+
+        For a single pair the threshold is vacuous; every user qualifies.  The
+        result is only ever intersected with a reception set, so the 16-user
+        universe stands in for "everyone".
+        """
+        if self.nu == 1:
+            return UserSet.full(16)
+        counts: dict[int, int] = {}
+        for qi in self.pairs:
+            for u in qi.listeners:
+                counts[u] = counts.get(u, 0) + 1
+        need = self.nu - 1
+        return UserSet.from_iterable(u for u, c in counts.items() if c >= need)
+
+    @cached_property
+    def exit_level(self) -> int:
+        """The widest level among the pairs."""
+        return max(qi.level for qi in self.pairs)
+
     def sort_key(self):
         return tuple(qi.sort_key() for qi in self.sorted_pairs)
 
@@ -78,27 +111,21 @@ class ControlSpec:
         return f"I[{inner}]"
 
 
+def _compatible(a: QueueIndex, b: QueueIndex) -> bool:
+    return a.destinations.issubset(b.listeners) and b.destinations.issubset(
+        a.listeners
+    )
+
+
 def validate_bcr(spec: ControlSpec) -> bool:
     """True iff every pair's destinations are heard by all other pairs."""
-    pairs = spec.sorted_pairs
-    for n, pn in enumerate(pairs):
-        for r, pr in enumerate(pairs):
-            if r != n and not pn.destinations.issubset(pr.listeners):
-                return False
-    return True
-
-
-def destinations_of(spec: ControlSpec) -> UserSet:
-    out = EMPTY
-    for qi in spec.pairs:
-        out = out | qi.destinations
-    return out
+    return all(_compatible(a, b) for a, b in combinations(spec.sorted_pairs, 2))
 
 
 def max_destinations_bound(spec: ControlSpec) -> int:
     """Total destination count; sandwiched between nu and the minimum level."""
     total = sum(len(qi.destinations) for qi in spec.pairs)
-    union = destinations_of(spec)
+    union = spec.destinations
     k = min(qi.level for qi in spec.pairs)
     assert spec.nu <= total == len(union) <= k, "catalog contains a BCR violation"
     return total
@@ -121,12 +148,6 @@ def _cc_pairs(n_users: int) -> list[QueueIndex]:
         d = (d - 1) & full
     out.sort(key=QueueIndex.sort_key)
     return out
-
-
-def _compatible(a: QueueIndex, b: QueueIndex) -> bool:
-    return a.destinations.issubset(b.listeners) and b.destinations.issubset(
-        a.listeners
-    )
 
 
 @dataclass(frozen=True)
@@ -157,7 +178,7 @@ class ControlCatalog:
         return json.dumps(obj, sort_keys=True)
 
 
-def _enumerate_full(n_users: int, cap: int) -> list[ControlSpec]:
+def _enumerate_full(n_users: int) -> list[ControlSpec]:
     pairs = _cc_pairs(n_users)
     m = len(pairs)
     # compat_above[i]: bitmask of j > i combinable with i
@@ -176,8 +197,6 @@ def _enumerate_full(n_users: int, cap: int) -> list[ControlSpec]:
             low = j & -j
             i = low.bit_length() - 1
             stack.append(i)
-            if len(out) >= cap:
-                raise ConfigError(f"control catalog exceeds cap of {cap}")
             out.append(ControlSpec(frozenset(pairs[k] for k in stack)))
             extend(cand & compat_above[i] & ~(low | (low - 1)))
             stack.pop()
@@ -230,23 +249,19 @@ def _enumerate_table8(n_users: int) -> list[ControlSpec]:
     return out
 
 
-def enumerate_controls(
-    n_users: int, restriction: str = FULL, *, max_controls: int = _DEFAULT_CAP
-) -> ControlCatalog:
+def enumerate_controls(n_users: int, restriction: str = FULL) -> ControlCatalog:
     check_n_users(n_users)
     if restriction == FULL:
         if n_users > _MAX_FULL_USERS:
             raise ConfigError(
                 f"full enumeration supports at most {_MAX_FULL_USERS} users"
             )
-        controls = _enumerate_full(n_users, max_controls)
+        controls = _enumerate_full(n_users)
     elif restriction == TABLE8:
         controls = _enumerate_table8(n_users)
     else:
         raise ConfigError(f"unknown restriction {restriction!r}")
 
-    if len(controls) > max_controls:
-        raise ConfigError(f"control catalog exceeds cap of {max_controls}")
     controls.sort(key=ControlSpec.sort_key)
     for spec in controls:
         assert validate_bcr(spec)

@@ -37,7 +37,7 @@ from .core import (
     UserSet,
     validate_cc,
 )
-from .coding import ControlSpec, destinations_of, validate_bcr
+from .coding import ControlSpec, validate_bcr
 
 
 class RpmCase(Enum):
@@ -79,24 +79,6 @@ class MovementPlan:
     retransmit: bool = False
 
 
-def tilde_l(spec: ControlSpec) -> UserSet:
-    """Users listed in at least nu-1 of the listener sets.
-
-    For a single pair the threshold is vacuous; every user qualifies.  The
-    result is only ever intersected with a reception set, so the 16-user
-    universe stands in for "everyone".
-    """
-    pairs = spec.sorted_pairs
-    if len(pairs) == 1:
-        return UserSet.full(16)
-    counts: dict[int, int] = {}
-    for qi in pairs:
-        for u in qi.listeners:
-            counts[u] = counts.get(u, 0) + 1
-    need = len(pairs) - 1
-    return UserSet.from_iterable(u for u, c in counts.items() if c >= need)
-
-
 def check_control(spec: ControlSpec, n_users: int) -> None:
     """Raise ValueError unless every pair of spec passes the compatibility
     criteria for n_users users and the pairs are combinable."""
@@ -136,7 +118,7 @@ def plan_moves(spec: ControlSpec, s: UserSet) -> MovePlan:
     if not s:
         return MovePlan(RpmCase.RETRANSMIT, s, decoded, ())
 
-    union_d = destinations_of(spec)
+    union_d = spec.destinations
     if union_d.issubset(s):
         return MovePlan(
             RpmCase.ALL_SERVED, s, decoded, tuple((qi, None) for qi in pairs)
@@ -147,10 +129,9 @@ def plan_moves(spec: ControlSpec, s: UserSet) -> MovePlan:
         return MovePlan(RpmCase.ADVANCE, s, decoded, _advance(spec, s))
 
     cut = len(spec.common_listeners | s | (union_d - s))
-    widest = max(qi.level for qi in pairs)
-    if cut > widest:
+    if cut > spec.exit_level:
         target = QueueIndex(spec.common_listeners | s, union_d - s)
-        assert target.level > widest
+        assert target.level > spec.exit_level
         routes = tuple((qi, target) for qi in pairs)
         return MovePlan(RpmCase.MERGE, s, decoded, routes, len(pairs) > 1)
 
@@ -166,7 +147,7 @@ def plan_moves(spec: ControlSpec, s: UserSet) -> MovePlan:
 def _advance(spec, s) -> tuple:
     """Each head advances to the queue of its new listener set, or exits;
     a head whose target is its own queue stays and keeps its position."""
-    s_tilde = s & tilde_l(spec)
+    s_tilde = s & spec.tilde_l
     routes = []
     for qi in spec.sorted_pairs:
         remaining = qi.destinations - s

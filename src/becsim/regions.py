@@ -108,10 +108,6 @@ def capacity_bound_argmax(rates: RateVector, model: ErasureModel, bits):
     return _best_order(rates, model, lambda d: float(_penalty(d, bits)))
 
 
-def capacity_bound_margin(rates: RateVector, model: ErasureModel, bits):
-    return capacity_bound_argmax(rates, model, bits)[0]
-
-
 def capacity_gap(rates: RateVector, model: ErasureModel, bits) -> dict:
     """How far the finite-length bound sits below the infinite-length one."""
     outer, outer_perm = outer_bound_argmax(rates, model)

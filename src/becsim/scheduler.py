@@ -50,7 +50,7 @@ class _Delta:
     case: str
     routes: tuple  # (src, dst | None) per popped head, in pop order
     merged: bool  # the popped heads form one fresh packet at their common dst
-    deliveries: tuple  # (user, count)
+    deliveries: tuple  # the users that decode, sorted
 
 
 _PLAN_CACHE: dict = {}
@@ -68,15 +68,12 @@ def deltas_of(spec: ControlSpec, n_users: int) -> dict:
         deltas = {}
         for s_mask in range(1 << n_users):
             moves = plan_moves(spec, UserSet(s_mask))
-            counts = {}
-            for _qi, user in moves.decoded:
-                counts[user] = counts.get(user, 0) + 1
             deltas[s_mask] = _Delta(
                 case=moves.case.value,
                 # a delivered head's target is None, which qidx.get keeps
                 routes=tuple((qidx[src], qidx.get(dst)) for src, dst in moves.routes),
                 merged=moves.merged,
-                deliveries=tuple(sorted(counts.items())),
+                deliveries=tuple(sorted(user for _qi, user in moves.decoded)),
             )
         _PLAN_CACHE[key] = deltas
     return deltas

@@ -138,7 +138,6 @@ class _CompiledControl:
     spec: ControlSpec
     queue_ids: tuple
     required_mask: int
-    exit_level: int
     rows: tuple  # ((src_q, ((tgt_q, p times _Compiled.scale), ...)), ...)
     deltas: dict  # s_mask -> _Delta
 
@@ -187,10 +186,7 @@ def compile_catalog(config: SimConfig) -> _Compiled:
             readers[src] |= bit
             for tgt, _w in row:
                 readers[tgt] |= bit
-        exit_level = max(qi.level for qi in spec.sorted_pairs)
-        controls.append(
-            _CompiledControl(index, spec, ids, mask, exit_level, rows, deltas)
-        )
+        controls.append(_CompiledControl(index, spec, ids, mask, rows, deltas))
     compiled = _Compiled(
         queues, weights, levels, roots, controls, scale, tuple(readers)
     )
@@ -320,7 +316,7 @@ class _ObjectQueues:
 
     def transmit(self, cc: _CompiledControl, s: UserSet, t: int):
         """Move the heads for reception set s.  Returns the case label,
-        (user, count) deliveries and the (level, size) of every packet
+        the users that decode and the (level, size) of every packet
         stored this slot (sizes only when the overhead monitor is on)."""
         config = self.config
         state = self.state
@@ -343,8 +339,7 @@ class _ObjectQueues:
                 if to is not None:
                     packet = next(p for p in state.queue(to) if p.pid == pid)
                     stored.append((to.level, len(packet.constituents)))
-        deliveries = [(user, 1) for user, _native in plan.decoded]
-        return plan.case.value, deliveries, stored
+        return plan.case.value, [user for user, _ in plan.decoded], stored
 
     def arrive(self, user: int, count: int) -> None:
         for _ in range(count):
@@ -508,12 +503,13 @@ def run(config: SimConfig, *, windows=()) -> RunResult:
                     idle_slots += 1
             else:
                 cc = compiled.controls[cidx]
+                exit_level = cc.spec.exit_level
                 overhead = queues.head_size(cc)
-                if config.overhead_monitor and overhead > factorial(cc.exit_level):
+                if config.overhead_monitor and overhead > factorial(exit_level):
                     raise MonitorViolation(
                         [
                             f"composite of {overhead} constituents exits level "
-                            f"{cc.exit_level}"
+                            f"{exit_level}"
                         ],
                         slot=t,
                         control=cidx,
@@ -523,8 +519,8 @@ def run(config: SimConfig, *, windows=()) -> RunResult:
                 case, deliveries, stored = queues.transmit(cc, s, t)
                 transmitted_since_flush = True
                 pending = cidx if case == RpmCase.RETRANSMIT.value else None
-                for user, count in deliveries:
-                    delivered[user] += count
+                for user in deliveries:
+                    delivered[user] += 1
                 if config.overhead_monitor:
                     for level, size in stored:
                         if size > _stored_cap(level):
@@ -541,8 +537,8 @@ def run(config: SimConfig, *, windows=()) -> RunResult:
                         if size > max_stored.get(level, 0):
                             max_stored[level] = size
                 overhead_hist[overhead] = overhead_hist.get(overhead, 0) + 1
-                if overhead > max_exit.get(cc.exit_level, 0):
-                    max_exit[cc.exit_level] = overhead
+                if overhead > max_exit.get(exit_level, 0):
+                    max_exit[exit_level] = overhead
             queues.audit(t, cidx, received, case)
             batch = sample_arrivals(config.arrivals, arr)
             for user, count in enumerate(batch):

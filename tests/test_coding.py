@@ -11,7 +11,7 @@ import pytest
 
 from becsim.coding import (
     ControlSpec,
-    destinations_of,
+    _cc_pairs,
     enumerate_controls,
     max_destinations_bound,
     validate_bcr,
@@ -36,15 +36,34 @@ class TestValidateBcr:
     def test_three_way_swap(self):
         assert validate_bcr(C(((1, 2), (0,)), ((0, 2), (1,)), ((0, 1), (2,))))
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_equals_ordered_double_loop(self, n):
+        """The pairwise rule reads as: for every ordered pair of distinct
+        pairs, the first's destinations are heard by the second."""
+        rng = random.Random(n)
+        pairs = _cc_pairs(n)
+        verdicts = set()
+        for _ in range(500):
+            spec = ControlSpec(frozenset(rng.sample(pairs, rng.randint(1, 4))))
+            ordered = all(
+                a.destinations.issubset(b.listeners)
+                for a in spec.pairs
+                for b in spec.pairs
+                if a != b
+            )
+            assert validate_bcr(spec) == ordered, spec
+            verdicts.add(ordered)
+        assert verdicts == {True, False}
+
 
 EX2 = C(((1, 2, 3, 5), (0,)), ((0, 2, 4), (1, 3)), ((0, 1, 3, 5), (2,)))
 
 
 class TestDestinationBounds:
     def test_destinations_union(self):
-        assert destinations_of(EX2) == UserSet.of(0, 1, 2, 3)
-        assert destinations_of(C(((), (0,)))) == UserSet.of(0)
-        assert destinations_of(C(((1,), (0,)), ((0,), (1,)))) == UserSet.of(0, 1)
+        assert EX2.destinations == UserSet.of(0, 1, 2, 3)
+        assert C(((), (0,))).destinations == UserSet.of(0)
+        assert C(((1,), (0,)), ((0,), (1,))).destinations == UserSet.of(0, 1)
 
     def test_bound(self):
         assert max_destinations_bound(EX2) == 4
@@ -113,11 +132,7 @@ class TestEnumerateFull:
             for qi in spec.pairs:
                 assert validate_cc(qi, 3)
             # destination sets across pairs are pairwise disjoint
-            assert max_destinations_bound(spec) == len(destinations_of(spec))
-
-    def test_cap_enforced(self):
-        with pytest.raises(ConfigError):
-            enumerate_controls(3, max_controls=5)
+            assert max_destinations_bound(spec) == len(spec.destinations)
 
     def test_too_many_users(self):
         with pytest.raises(ConfigError):

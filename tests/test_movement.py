@@ -5,7 +5,6 @@ carried out on a state."""
 
 import hashlib
 import random
-from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -25,7 +24,6 @@ from becsim.movement import (
     RpmCase,
     apply_rpm,
     plan_moves,
-    tilde_l,
 )
 from becsim.scheduler import (
     DELIVERED,
@@ -60,17 +58,17 @@ EX2_PAIRS = [((1, 2, 3, 5), (0,)), ((0, 2, 4), (1, 3)), ((0, 1, 3, 5), (2,))]
 
 class TestTildeL:
     def test_threshold_two_of_three(self):
-        lt = tilde_l(ControlSpec.of(*EX2_PAIRS))
+        lt = ControlSpec.of(*EX2_PAIRS).tilde_l
         assert 4 not in lt  # listed once only
         assert 1 in lt
         assert lt & UserSet.full(8) == U(0, 1, 2, 3, 5)
 
     def test_single_pair_vacuous(self):
-        lt = tilde_l(ControlSpec.of(((1, 2), (0,))))
+        lt = ControlSpec.of(((1, 2), (0,))).tilde_l
         assert UserSet.full(16).issubset(lt)
 
     def test_level2_swap(self):
-        assert tilde_l(ControlSpec.of(((0,), (1,)), ((1,), (0,)))) == U(0, 1)
+        assert ControlSpec.of(((0,), (1,)), ((1,), (0,))).tilde_l == U(0, 1)
 
 
 class TestReferenceRows:
@@ -345,12 +343,11 @@ def reference_deltas(catalog):
         per_s = {}
         for mask in range(1 << n_users):
             plan, routes = executed_moves(n_users, spec, UserSet(mask))
-            counts = Counter(user for user, _native in plan.decoded)
             per_s[mask] = _Delta(
                 case=plan.case.value,
                 routes=tuple((qidx[frm], qidx.get(to)) for frm, to in routes),
                 merged=plan.merged is not None,
-                deliveries=tuple(sorted(counts.items())),
+                deliveries=tuple(sorted(user for user, _native in plan.decoded)),
             )
         out.append(per_s)
     return out
@@ -426,6 +423,24 @@ class TestPlanner:
         assert moves.routes == ((QI((0, 2, 4), (1, 3)), QI((0, 1, 2, 4), (3,))),)
         assert moves.decoded == ((QI((0, 2, 4), (1, 3)), 1),)
         assert not moves.merged
+
+    @pytest.mark.parametrize("n_users, restriction", PLANNED_CATALOGS)
+    def test_control_facts_and_distinct_deliveries(self, n_users, restriction):
+        """The planner's control facts equal their set definitions, and a
+        user decodes at most one packet per slot."""
+        for spec in enumerate_controls(n_users, restriction):
+            pairs = spec.pairs
+            assert spec.destinations == U(*(i for qi in pairs for i in qi.destinations))
+            assert spec.tilde_l & UserSet.full(n_users) == U(
+                *(
+                    u
+                    for u in range(n_users)
+                    if sum(u in qi.listeners for qi in pairs) >= len(pairs) - 1
+                )
+            )
+            assert spec.exit_level == max(qi.level for qi in pairs)
+            for delta in deltas_of(spec, n_users).values():
+                assert list(delta.deliveries) == sorted(set(delta.deliveries))
 
 
 # a three-user pmf with zero-mass reception sets

@@ -418,8 +418,8 @@ class TestSelection:
             # the deliveries read from the delta table, not from the rows
             delivered = {}
             for s, w in scaled_pmf:
-                for user, count in cc.deltas[s.mask].deliveries:
-                    delivered[user] = delivered.get(user, 0) + w * count
+                for user in cc.deltas[s.mask].deliveries:
+                    delivered[user] = delivered.get(user, 0) + w
             users = [i for q in cc.queue_ids for i in compiled.queues[q].destinations]
             assert len(users) == len(set(users)) == len(cc.rows)
             for (_src, row), user in zip(cc.rows, users):
