@@ -167,6 +167,10 @@ class ControlCatalog:
     def __getitem__(self, i: int) -> ControlSpec:
         return self.controls[i]
 
+    @cached_property
+    def control_set(self) -> frozenset:
+        return frozenset(self.controls)
+
     def to_json(self) -> str:
         obj = [
             [

@@ -4,7 +4,7 @@ flow-balance feasibility checking, and Fourier-Motzkin projection.
 
 Erasure probabilities are exact, as an erasure model holds them; rates may
 be floats or exact rationals, and with Fraction rates every comparison is
-exact.
+exact; the certificate check reads every input exactly, floats included.
 """
 
 from __future__ import annotations
@@ -13,12 +13,13 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import ceil
 from typing import Mapping, Optional, Sequence
 
 from .channel import ErasureModel, epsilon_g
 from .coding import ControlCatalog, ControlSpec
 from .core import EMPTY, ConfigError, QueueIndex, UserSet
-from .scheduler import DELIVERED, derive_transitions
+from .scheduler import DELIVERED, derive_transitions, scaled_ints
 
 # rates are plain sequences, one entry per user
 RateVector = Sequence
@@ -142,12 +143,17 @@ def _pair(a, b):
 
 
 class _PhiTables:
-    """Per-family flow values on sorted user labels 0..3 (rate-descending)."""
+    """Per-family flow values on sorted user labels 0..3 (rate-descending).
+    φ1, φ2 and φ31 depend only on the top user i of their pairs; one, two
+    and three give them per i."""
 
-    def __init__(self):
-        self.phi1 = {}
-        self.phi2 = {}
-        self.phi31 = {}
+    def __init__(self, one, two, three):
+        pairs = list(combinations(range(4), 2))
+        self.phi1 = dict(enumerate(one))
+        self.phi2 = {(i, j): two[i] for i, j in pairs}
+        self.phi31 = {
+            ((i, j), k): three[i] for i, j in pairs for k in range(4) if k not in (i, j)
+        }
         self.phi33 = {}
         self.phi41 = {}
         self.phi42 = {}
@@ -155,77 +161,56 @@ class _PhiTables:
 
 
 def _phi_recursive(lam, eps) -> _PhiTables:
-    t = _PhiTables()
     e = eps
-    for i in range(4):
-        t.phi1[i] = lam[i] / (1 - e**4)
-    for i, j in combinations(range(4), 2):
-        t.phi2[(i, j)] = e**3 * (1 - e) / (1 - e**3) * t.phi1[i]
-    for i, j in combinations(range(4), 2):
-        for k in range(4):
-            if k not in (i, j):
-                t.phi31[((i, j), k)] = e**3 * (1 - e) * t.phi2[(i, j)] / (1 - e**3)
-    for tri in combinations(range(4), 3):
-        def swap_term(a, b, c):
-            # balance at the two-listener queue of user a within {a, b, c}
-            num = e**2 * (1 - e) ** 2 * (
-                t.phi1[a] + t.phi2[_pair(a, b)] + t.phi2[_pair(a, c)]
-            ) + e**2 * (1 - e) * (
-                t.phi31[(_pair(a, b), c)] + t.phi31[(_pair(a, c), b)]
-            )
-            return num / (1 - e**2) - t.phi31[(_pair(b, c), a)]
+    e2, e3 = e**2, e**3
+    # one level deeper: φ2 from φ1, φ31 from φ2, φ41 from its inflow
+    step = e3 * (1 - e) / (1 - e3)
+    # balance weights of the swap and half-swap controls' queues
+    swap, half = e2 * (1 - e) ** 2 / (1 - e2), e2 * (1 - e) / (1 - e2)
+    d4 = 1 - e**4
+    one = [x / d4 for x in lam]
+    two = [step * x for x in one]
+    t = _PhiTables(one, two, [step * x for x in two])
 
+    def swap_term(a, b, c):
+        # balance at the two-listener queue of user a within {a, b, c}
+        own = t.phi1[a] + t.phi2[_pair(a, b)] + t.phi2[_pair(a, c)]
+        mixed = t.phi31[(_pair(a, b), c)] + t.phi31[(_pair(a, c), b)]
+        return swap * own + half * mixed - t.phi31[(_pair(b, c), a)]
+
+    # inflow[tri]: φ31 over the three splits of the triple plus its φ33, the
+    # sum that φ41 and the half and full swap balances read
+    inflow = {}
+    for tri in combinations(range(4), 3):
         i, j, k = tri
         t.phi33[tri] = max(swap_term(i, j, k), swap_term(j, i, k), swap_term(k, i, j))
-    for tri in combinations(range(4), 3):
-        i, j, k = tri
-        inflow = (
+        inflow[tri] = (
             t.phi31[((i, j), k)]
             + t.phi31[((i, k), j)]
             + t.phi31[((j, k), i)]
             + t.phi33[tri]
         )
-        t.phi41[tri] = e**3 * (1 - e) * inflow / (1 - e**3)
-    for part in [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]:
-        def half_term(x, y):
-            (x1, x2), (y1, y2) = x, y
-            tri_a = tuple(sorted(x + (y1,)))
-            tri_b = tuple(sorted(x + (y2,)))
-            num = e**2 * (1 - e) ** 2 * (
-                t.phi2[x]
-                + t.phi31[(x, y1)]
-                + t.phi31[(x, y2)]
-                + t.phi31[(_pair(x1, y1), x2)]
-                + t.phi31[(_pair(x1, y2), x2)]
-                + t.phi31[(_pair(x2, y1), x1)]
-                + t.phi31[(_pair(x2, y2), x1)]
-                + t.phi33[tri_a]
-                + t.phi33[tri_b]
-            ) + e**2 * (1 - e) * (t.phi41[tri_a] + t.phi41[tri_b])
-            return num / (1 - e**2)
+        t.phi41[tri] = step * inflow[tri]
 
+    def half_term(x, y):
+        tris = [tuple(sorted(x + (v,))) for v in y]
+        own = t.phi2[x] + sum(inflow[tri] for tri in tris)
+        return swap * own + half * sum(t.phi41[tri] for tri in tris)
+
+    for part in [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]:
         a, b = part
         t.phi42[part] = max(half_term(a, b), half_term(b, a))
+    part_in = e * sum(t.phi42.values())
 
     def full_term(u):
-        others = [v for v in range(4) if v != u]
-        opp = sum(t.phi31[(_pair(a, b), u)] for a, b in combinations(others, 2))
-        adj = sum(
-            t.phi31[(_pair(u, a), b)] for a in others for b in others if b != a
-        )
-        swaps = sum(
-            t.phi33[tuple(sorted((u, a, b)))] for a, b in combinations(others, 2)
-        )
+        others = tuple(v for v in range(4) if v != u)
+        tris = [tuple(sorted((u, a, b))) for a, b in combinations(others, 2)]
         own = t.phi1[u] + sum(t.phi2[_pair(u, a)] for a in others)
-        tri_in = sum(
-            t.phi41[tuple(sorted((u, a, b)))] for a, b in combinations(others, 2)
-        )
-        part_in = sum(t.phi42.values())
         return (
-            e * (1 - e) ** 2 * (own + opp + adj + swaps)
-            + e * (1 - e) * tri_in
-            + e * part_in
-            - t.phi41[tuple(others)]
+            e * (1 - e) ** 2 * (own + sum(inflow[tri] for tri in tris))
+            + e * (1 - e) * sum(t.phi41[tri] for tri in tris)
+            + part_in
+            - t.phi41[others]
         )
 
     t.phi44 = max(full_term(u) for u in range(4))
@@ -233,43 +218,26 @@ def _phi_recursive(lam, eps) -> _PhiTables:
 
 
 def _phi_closed(lam, eps) -> _PhiTables:
-    t = _PhiTables()
     e = eps
-    q3 = 1 + e + e**2
-    for i in range(4):
-        t.phi1[i] = lam[i] / (1 - e**4)
-    for i, j in combinations(range(4), 2):
-        t.phi2[(i, j)] = e**3 * (1 - e) * lam[i] / ((1 - e**3) * (1 - e**4))
-    for i, j in combinations(range(4), 2):
-        for k in range(4):
-            if k not in (i, j):
-                t.phi31[((i, j), k)] = (
-                    e**6 * (1 - e) ** 2 * lam[i] / ((1 - e**3) ** 2 * (1 - e**4))
-                )
-    for i, j, k in combinations(range(4), 3):
-        t.phi33[(i, j, k)] = (
-            e**2
-            * ((1 - e**4) * lam[i] + e**2 * lam[i] - e**4 * lam[j])
-            / ((1 - e**4) * q3**2)
-        )
-    for tri in combinations(range(4), 3):
-        t.phi41[tri] = e**5 * (1 - e + e**2) * lam[tri[0]] / ((1 - e**4) * q3**2)
-    for part in [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]:
-        t.phi42[part] = (
-            e**4
-            * (2 - e + 2 * e**2 - e**4)
-            * lam[0]
-            / ((1 - e**4) * (1 + e) * q3**2)
-        )
-    t.phi44 = (
-        e
-        * (
-            lam[0]
-            * (1 + e + 3 * e**2 - 2 * e**3 + 4 * e**4 - 3 * e**5 + e**6 + e**7)
-            - lam[1] * (e**4 + e**7)
-        )
-        / ((1 - e**4) * (1 + e) * q3**2)
+    e2, e3, e4 = e**2, e**3, e**4
+    d4 = 1 - e4
+    q = d4 * (1 + e + e2) ** 2
+    c2 = e3 * (1 - e) / ((1 - e3) * d4)
+    c31 = e3 * e3 * (1 - e) ** 2 / ((1 - e3) ** 2 * d4)
+    t = _PhiTables(
+        [x / d4 for x in lam], [c2 * x for x in lam], [c31 * x for x in lam]
     )
+    # φ33 = a·λi − b·λj, φ41 = c·λi for i the top user of the triple
+    a33, b33, c41 = e2 * (d4 + e2) / q, e2 * e4 / q, e4 * e * (1 - e + e2) / q
+    a, b, c = ([coef * x for x in lam] for coef in (a33, b33, c41))
+    for i, j, k in combinations(range(4), 3):
+        t.phi33[(i, j, k)] = a[i] - b[j]
+        t.phi41[(i, j, k)] = c[i]
+    phi42 = e4 * (2 - e + 2 * e2 - e4) * lam[0] / (q * (1 + e))
+    for part in [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]:
+        t.phi42[part] = phi42
+    top = 1 + e + 3 * e2 - 2 * e3 + 4 * e4 - 3 * e4 * e + e3 * e3 + e4 * e3
+    t.phi44 = e * (lam[0] * top - lam[1] * (e4 + e4 * e3)) / (q * (1 + e))
     return t
 
 
@@ -376,6 +344,24 @@ def _rows_of(edges_of: Mapping, n_users: int) -> list:
     return _LAST_ROWS[1]
 
 
+# (rows, int rows) of the last conversion; rows are matched by identity
+_LAST_INT_ROWS: list = [None, None]
+
+
+def _int_rows(rows: list) -> tuple:
+    """(M, controls in order of first use, per row (node, root, [(control
+    position, coefficient·M)])), M the rows' least common denominator."""
+    if _LAST_INT_ROWS[0] is not rows:
+        scale, ints = scaled_ints([Fraction(c) for *_, n in rows for c in n.values()])
+        ints, at = iter(ints), {}
+        converted = [
+            (node, root, [(at.setdefault(s, len(at)), next(ints)) for s in net])
+            for node, root, net in rows
+        ]
+        _LAST_INT_ROWS[:] = rows, (scale, list(at), converted)
+    return _LAST_INT_ROWS[1]
+
+
 def feasibility_check(
     rates: RateVector,
     certificate: FlowCertificate,
@@ -387,10 +373,11 @@ def feasibility_check(
 ) -> dict:
     """Verify arrival + inflow <= outflow at every virtual queue under the
     certificate's time shares; report the worst slack.  Raises ValueError
-    when transitions lack a control that has a nonzero share."""
+    when transitions lack a control that has a nonzero share.  Shares and
+    rates are read exactly, a float as Fraction(x), so slacks are Fractions
+    for every input type, and at tol=0 a float's rounding can decide."""
     _validate_rates(rates, model.n_users)
-    known = set(catalog.controls)
-    unknown = [spec for spec in certificate.phi if spec not in known]
+    unknown = [spec for spec in certificate.phi if spec not in catalog.control_set]
     shares = {spec: share for spec, share in certificate.phi.items() if share}
     edges_of = {}
     for spec in shares:
@@ -400,16 +387,23 @@ def feasibility_check(
             edges_of[spec] = transitions[spec]
         else:
             raise ValueError(f"transitions lack the certificate's control {spec!r}")
-    violations = []
-    worst_node, worst_slack = None, None
-    for node, root, net in _rows_of(edges_of, model.n_users):
-        net_inflow = sum(shares[spec] * c for spec, c in net.items())
-        slack = -net_inflow - (0 if root is None else rates[root])
-        if worst_slack is None or slack < worst_slack:
-            worst_node, worst_slack = node, slack
-        if slack < -tol:
-            violations.append((node, slack))
-
+    scale, specs, rows = _int_rows(_rows_of(edges_of, model.n_users))
+    # each slack times unit·scale is an int, with shares and rates over unit
+    values = [Fraction(shares[spec]) for spec in specs] + [Fraction(r) for r in rates]
+    unit, ints = scaled_ints(values)
+    arrivals = [r * scale for r in ints[len(specs):]]
+    slacks = [
+        -sum(ints[k] * c for k, c in row) - (0 if root is None else arrivals[root])
+        for _node, root, row in rows
+    ]
+    denom = unit * scale
+    worst = min(range(len(rows)), key=slacks.__getitem__)  # the first lowest
+    worst_node, worst_slack = rows[worst][0], Fraction(slacks[worst], denom)
+    # an int w has w/denom < -tol exactly when w < ceil(-tol·denom)
+    limit = ceil(-Fraction(tol) * denom)
+    violations = [
+        (node, Fraction(w, denom)) for (node, *_), w in zip(rows, slacks) if w < limit
+    ]
     negative = certificate.negative()
     total = certificate.total()
     feasible = (

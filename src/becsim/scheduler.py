@@ -11,16 +11,19 @@ in a head routed to queue q lands at (q, i) when i is one of q's
 destinations and is delivered otherwise (a head that leaves the network
 delivers all its tokens); the tokens of a head that is not popped stay put.
 Folding a reception pmf over these landings gives the exact distribution
-of where each pending token goes: ``derive_transitions`` keeps it per
-control, and the simulator's max-weight rows are the same fold with the
-deliveries dropped.
+of where each pending token goes.  Both callers fold ``scaled_pmf``, the
+pmf as ints over its least common denominator D: ``derive_transitions``
+divides each landing's sum by D once, and the simulator's max-weight rows
+are the int sums with the deliveries dropped.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
+from math import lcm
 from typing import Mapping
 
 from .channel import ErasureModel
@@ -104,6 +107,19 @@ def fold_landings(queues, queue_ids, deltas, pmf) -> tuple:
     return nodes, buckets
 
 
+def scaled_ints(values) -> tuple:
+    """(D, [x·D]): exact values as ints over their least common denominator D."""
+    scale = lcm(*(x.denominator for x in values))
+    return scale, [x.numerator * (scale // x.denominator) for x in values]
+
+
+def scaled_pmf(model: ErasureModel) -> tuple:
+    """(D, [(S, p·D)]): the model's pmf as scaled_ints."""
+    sets, probs = zip(*model.pmf())
+    scale, ints = scaled_ints(probs)
+    return scale, list(zip(sets, ints))
+
+
 def derive_transitions(spec: ControlSpec, model: ErasureModel) -> dict:
     """Exact per-token transition probabilities for one control, keyed by
     node (QueueIndex, user) in pair order.  Raises ValueError for a control
@@ -111,13 +127,14 @@ def derive_transitions(spec: ControlSpec, model: ErasureModel) -> dict:
     deltas = deltas_of(spec, model.n_users)
     queues, qidx = _queue_space(model.n_users)[:2]
     ids = [qidx[qi] for qi in spec.sorted_pairs]
-    nodes, buckets = fold_landings(queues, ids, deltas, model.pmf())
+    scale, pmf = scaled_pmf(model)
+    nodes, buckets = fold_landings(queues, ids, deltas, pmf)
 
     def node_of(target):
         return DELIVERED if target is None else (queues[target[0]], target[1])
 
     return {
-        (queues[q], i): {node_of(t): p for t, p in bucket.items()}
+        (queues[q], i): {node_of(t): Fraction(w, scale) for t, w in bucket.items()}
         for (q, i), bucket in zip(nodes, buckets)
     }
 

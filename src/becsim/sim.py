@@ -46,7 +46,7 @@ import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from math import factorial, lcm
+from math import factorial
 from typing import Optional
 
 from .channel import ArrivalModel, ErasureModel, make_rng, sample_arrivals, sample_reception
@@ -59,7 +59,7 @@ from .core import (
     audit_state,
 )
 from .movement import ReceptionOutcome, RpmCase, apply_rpm
-from .scheduler import _queue_space, deltas_of, fold_landings
+from .scheduler import _queue_space, deltas_of, fold_landings, scaled_pmf
 
 
 @dataclass
@@ -166,8 +166,7 @@ def compile_catalog(config: SimConfig) -> _Compiled:
         return _LAST_COMPILED[1]
     n = config.n_users
     queues, qidx, weights, levels, roots = _queue_space(n)
-    scale = lcm(*(p.denominator for _s, p in pmf))
-    scaled_pmf = [(s, int(p * scale)) for s, p in pmf]
+    scale, pmf_ints = scaled_pmf(config.erasure)
     controls = []
     readers = [0] * len(queues)
     for index, spec in enumerate(enumerate_controls(n, config.restriction)):
@@ -175,7 +174,7 @@ def compile_catalog(config: SimConfig) -> _Compiled:
         deltas = deltas_of(spec, n)
         # the landing fold by queue id, deliveries dropped: the rows equal
         # derive_transitions' table without its deliveries, times scale
-        nodes, buckets = fold_landings(queues, ids, deltas, scaled_pmf)
+        nodes, buckets = fold_landings(queues, ids, deltas, pmf_ints)
         rows = tuple(
             (q, tuple((tgt[0], w) for tgt, w in bucket.items() if tgt is not None))
             for (q, _i), bucket in zip(nodes, buckets)

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from becsim import regions
 from becsim.channel import ErasureModel, epsilon_g
@@ -495,6 +497,78 @@ class TestFlowChecksAgree:
         cert = build_phi_4user(LAM4, F(1, 2))
         catalog = enumerate_controls(4, restriction="table8")
         assert self.agree(LAM4, cert, iid4(F(1, 2)), catalog)
+
+
+class TestExactReading:
+    """feasibility_check reads every share and rate at its exact value."""
+
+    CATALOG = enumerate_controls(4, restriction="table8")
+
+    @pytest.mark.parametrize("fill", [F(99, 100), F(101, 100)], ids=["in", "beyond"])
+    def test_float_certificate_checked_as_its_fractions(self, fill):
+        # the certificate is built at 99/100; at 101/100 the roots overflow
+        rng = random.Random(f"exact-reading-{fill}")
+        for eps in (0.1, 0.25, 0.5, 0.9):
+            model = iid4(eps)
+            for _ in range(10):
+                weights = sorted((rng.randrange(1, 1000) for _ in range(4)), reverse=True)
+                rates = boundary_ray(weights, eps)
+                cert = build_phi_4user(rates, eps)
+                over = tuple(r * float(fill / F(99, 100)) for r in rates)
+                twin = FlowCertificate({s: F(v) for s, v in cert.phi.items()})
+                for tol in (0, 1e-9):
+                    got = feasibility_check(over, cert, model, self.CATALOG, tol=tol)
+                    want = feasibility_check(
+                        tuple(map(F, over)), twin, model, self.CATALOG, tol=tol
+                    )
+                    assert type(got["worst_slack"]) is F
+                    assert got["phi_total"] == pytest.approx(want["phi_total"])
+                    del got["phi_total"], want["phi_total"]
+                    assert got == want
+
+
+def _relabel_node(node, perm):
+    qi, user = node
+    listeners, destinations = (
+        UserSet.from_iterable(perm[u] for u in s) for s in (qi.listeners, qi.destinations)
+    )
+    return QueueIndex(listeners, destinations), perm[user]
+
+
+class TestRelabeling:
+    """Renaming the users renames the certificate check and the outer bound."""
+
+    CATALOG = enumerate_controls(4, restriction="table8")
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        perm=st.permutations(range(4)),
+        weights=st.lists(st.integers(1, 999), min_size=4, max_size=4),
+        tenth=st.integers(0, 9),
+        fill=st.sampled_from([F(99, 100), F(101, 100)]),
+    )
+    def test_verdict_and_margin_invariant(self, perm, weights, tenth, fill):
+        eps = F(tenth, 10)
+        model = iid4(eps)
+        rates = boundary_ray(sorted(weights, reverse=True), eps, F(99, 100))
+        moved = [None] * 4
+        for u, r in enumerate(rates):
+            moved[perm[u]] = r
+        # the certificate is built at 99/100; at 101/100 the roots overflow
+        over = tuple(r * fill / F(99, 100) for r in rates)
+        moved_over = tuple(r * fill / F(99, 100) for r in moved)
+        base = feasibility_check(
+            over, build_phi_4user(rates, eps), model, self.CATALOG, tol=0
+        )
+        got = feasibility_check(
+            moved_over, build_phi_4user(moved, eps), model, self.CATALOG, tol=0
+        )
+        assert got["feasible"] == base["feasible"]
+        assert got["worst_slack"] == base["worst_slack"]
+        assert sorted(got["violations"], key=repr) == sorted(
+            ((_relabel_node(n, perm), v) for n, v in base["violations"]), key=repr
+        )
+        assert outer_bound_margin(moved, model) == outer_bound_margin(rates, model)
 
 
 def ineq(coeffs, rhs):
