@@ -96,7 +96,7 @@ class ErasureModel:
             s = UserSet.of(*users)
             if not p >= 0:
                 raise ConfigError(f"probability {p} is negative or not a number")
-            table[s.mask] = table.get(s.mask, 0) + p
+            table[s] = table.get(s, 0) + p
             total += p
         if abs(total - 1) > _TOL:
             raise ConfigError(f"reception pmf sums to {total}, not 1")
@@ -126,7 +126,7 @@ class ErasureModel:
 
     def p_gs(self, g: UserSet, s: UserSet):
         """P(everyone in g erased, everyone in s received)."""
-        if not (g & s).mask == 0:
+        if not g.isdisjoint(s):
             raise ConfigError("erased and received sets overlap")
         if self.eps is not None:
             p = 1
@@ -135,11 +135,9 @@ class ErasureModel:
             for i in s:
                 p = p * (1 - self.eps[i])
             return p
-        total = Fraction(0)
-        for r, p in self.pmf():
-            if s.issubset(r) and (r & g).mask == 0:
-                total += p
-        return total
+        return sum(
+            (p for r, p in self.pmf() if s.issubset(r) and r.isdisjoint(g)), Fraction(0)
+        )
 
     def sample(self, rng: random.Random) -> UserSet:
         if self._thresholds is not None:

@@ -132,7 +132,7 @@ def max_destinations_bound(spec: ControlSpec) -> int:
 
 
 def _cc_pairs(n_users: int) -> list[QueueIndex]:
-    full = UserSet.full(n_users).mask
+    full = (1 << n_users) - 1
     out = []
     d = full
     while d:  # nonempty destination sets

@@ -5,11 +5,18 @@ composites of native packets; every undecoded native packet is mirrored by
 exactly one token in the virtual network, and per-(queue, user) counters track
 virtual queue lengths. audit_state() checks the structural invariants that
 every simulation step must preserve.
+
+The queue keys hash and compare in C. A UserSet is an int that equals, sorts
+and serializes as its mask (UserSet(3) == 3); |, & and - return a UserSet,
+other int operators (^, ~, <<) a plain int. QueueIndex and NativePacketId are
+named tuples, equal to the plain tuples of their fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache
+from typing import NamedTuple
 
 
 class ConfigError(Exception):
@@ -50,15 +57,17 @@ class MonitorViolation(Exception):
         return f"monitor violation{where}: " + "; ".join(self.violations) + seed
 
 
-@dataclass(frozen=True)
-class UserSet:
-    """Immutable subset of {0..N-1} as a bitmask. N capped at 16."""
+class UserSet(int):
+    """Immutable subset of {0..N-1} as a bitmask, an int. N capped at 16."""
 
-    mask: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.mask < 0:
+    def __new__(cls, mask: int = 0):
+        if mask < 0:
             raise ValueError("negative mask")
+        return int.__new__(cls, mask)
+
+    mask = property(int.__int__, doc="The bitmask as a plain int.")
 
     @classmethod
     def of(cls, *users: int) -> "UserSet":
@@ -78,47 +87,41 @@ class UserSet:
         return cls((1 << n_users) - 1)
 
     def __contains__(self, user: int) -> bool:
-        return (self.mask >> user) & 1 == 1
+        return (self >> user) & 1 == 1
 
     def __iter__(self):
-        m = self.mask
-        u = 0
-        while m:
-            if m & 1:
-                yield u
-            m >>= 1
-            u += 1
+        return iter(_members(self))
 
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __bool__(self) -> bool:
-        return self.mask != 0
+    __len__ = int.bit_count
 
     def __or__(self, other: "UserSet") -> "UserSet":
-        return UserSet(self.mask | other.mask)
+        return UserSet(int(self) | other)
 
     def __and__(self, other: "UserSet") -> "UserSet":
-        return UserSet(self.mask & other.mask)
+        return UserSet(int(self) & other)
 
     def __sub__(self, other: "UserSet") -> "UserSet":
-        return UserSet(self.mask & ~other.mask)
+        return UserSet(int(self) & ~other)
 
     def issubset(self, other: "UserSet") -> bool:
-        return self.mask & ~other.mask == 0
+        return not int(self) & ~other
 
     def isdisjoint(self, other: "UserSet") -> bool:
-        return self.mask & other.mask == 0
+        return not int(self) & other
 
     def __repr__(self) -> str:
         return "U{" + ",".join(str(u) for u in self) + "}"
 
 
+@cache  # the users in a mask, in increasing order
+def _members(mask: int) -> tuple:
+    return tuple(u for u in range(mask.bit_length()) if mask >> u & 1)
+
+
 EMPTY = UserSet(0)
 
 
-@dataclass(frozen=True)
-class QueueIndex:
+class QueueIndex(NamedTuple):
     """Real-queue index: held-by/listener set L and destination set D."""
 
     listeners: UserSet
@@ -126,15 +129,15 @@ class QueueIndex:
 
     @property
     def level(self) -> int:
-        return len(self.listeners) + len(self.destinations)
+        return self.listeners.bit_count() + self.destinations.bit_count()
 
     @property
     def sublevel(self) -> int:
         # meaningful for level >= 3; |L| by definition
-        return len(self.listeners)
+        return self.listeners.bit_count()
 
     def sort_key(self):
-        return (self.level, self.sublevel, self.destinations.mask, self.listeners.mask)
+        return (self.level, self.sublevel, int(self.destinations), int(self.listeners))
 
     def __repr__(self) -> str:
         l = ",".join(str(u) for u in self.listeners)
@@ -144,7 +147,7 @@ class QueueIndex:
 
 def validate_cc(index: QueueIndex, n_users: int) -> bool:
     """Compatibility criteria for a queue index."""
-    l, d = index.listeners.mask, index.destinations.mask
+    l, d = int(index.listeners), int(index.destinations)
     if (l | d) >> n_users:
         return False  # CC1: every user below n_users
     if l & d:
@@ -156,10 +159,9 @@ def validate_cc(index: QueueIndex, n_users: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, order=True)
-class NativePacketId:
+class NativePacketId(NamedTuple):
     """Identity of an exogenous packet: its unique intended recipient plus a
-    per-recipient sequence number."""
+    per-recipient sequence number.  Sorts by (owner, sequence)."""
 
     owner: int
     sequence: int

@@ -176,7 +176,7 @@ def apply_rpm(
     pairs = spec.sorted_pairs
     picked = _resolve_chosen(state, pairs, chosen)
     s = outcome.received
-    if not s.issubset(UserSet.full(state.n_users)):
+    if s >> state.n_users:
         raise ValueError("reception set mentions unknown users")
     moves = plan_moves(spec, s)
     plan = MovementPlan(

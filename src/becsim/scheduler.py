@@ -95,7 +95,7 @@ def fold_landings(queues, queue_ids, deltas, pmf) -> tuple:
     nodes = [(q, i) for q in queue_ids for i in queues[q].destinations]
     buckets = [{} for _ in nodes]
     for s, p in pmf:
-        went = dict(deltas[s.mask].routes)
+        went = dict(deltas[s].routes)
         for node, bucket in zip(nodes, buckets):
             q, i = node
             target = node

@@ -161,7 +161,7 @@ def compile_catalog(config: SimConfig) -> _Compiled:
     """Compile the catalog, or return the last compile when its inputs
     are equal.  Every engine and policy reads the same compile."""
     pmf = list(config.erasure.pmf())
-    key = (config.n_users, config.restriction, tuple((s.mask, p) for s, p in pmf))
+    key = (config.n_users, config.restriction, tuple(pmf))
     if _LAST_COMPILED[0] == key:
         return _LAST_COMPILED[1]
     n = config.n_users
@@ -320,7 +320,7 @@ class _ObjectQueues:
         config = self.config
         state = self.state
         if _due(config.deep_audit_every, t):
-            self._check(t, True, cc.index, s.mask, None)
+            self._check(t, True, cc.index, int(s), None)
         plan = apply_rpm(state, cc.spec, None, ReceptionOutcome(s))
         if config.decode_monitor:
             for user, native in plan.decoded:
@@ -329,7 +329,7 @@ class _ObjectQueues:
                         [f"user {user} failed to decode {native!r}"],
                         slot=t,
                         control=cc.index,
-                        received=s.mask,
+                        received=int(s),
                         case=plan.case.value,
                     )
         stored = []
@@ -405,7 +405,7 @@ class _CountQueues:
         return sum(self.sizes[q][0] for q in cc.queue_ids)
 
     def transmit(self, cc: _CompiledControl, s: UserSet, t: int):
-        delta = cc.deltas[s.mask]
+        delta = cc.deltas[s]
         popped = []
         for q, _dst in delta.routes:
             popped.append(self.sizes[q].popleft())
@@ -514,7 +514,7 @@ def run(config: SimConfig, *, windows=()) -> RunResult:
                         control=cidx,
                     )
                 s = sample_reception(config.erasure, chan)
-                received = s.mask
+                received = int(s)
                 case, deliveries, stored = queues.transmit(cc, s, t)
                 transmitted_since_flush = True
                 pending = cidx if case == RpmCase.RETRANSMIT.value else None

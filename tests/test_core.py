@@ -1,6 +1,9 @@
 """Core type tests: set semantics against Python's set as oracle, queue-index
 validity rules, and the state auditor on hand-built good and bad states."""
 
+import json
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -121,6 +124,60 @@ class TestReceiverBasis:
         x = frozenset([self.n(0, 0), self.n(2, 1)])
         y = frozenset([self.n(2, 0), self.n(2, 1), self.n(3, 0)])
         assert b.reduce(x) ^ b.reduce(y) == b.reduce(x ^ y)
+
+
+class TestKeyContract:
+    """The key types are an int (UserSet) and tuples (QueueIndex,
+    NativePacketId): they hash and compare as those values."""
+
+    KEYS = (U(0, 2), QueueIndex(U(2), U(0, 1)), NativePacketId(1, 7))
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_keeps_types(self, protocol):
+        for key in self.KEYS:
+            back = pickle.loads(pickle.dumps(key, protocol))
+            assert back == key and type(back) is type(key)
+            assert repr(back) == repr(key)
+        qi = pickle.loads(pickle.dumps({self.KEYS[1]: 1}, protocol)).popitem()[0]
+        assert type(qi.listeners) is UserSet and type(qi.destinations) is UserSet
+
+    def test_userset_is_its_mask(self):
+        s = U(0, 1)
+        assert s == 3 and hash(s) == hash(3) and {3: "x"}[s] == "x"
+        assert s.mask == 3 and type(s.mask) is int
+        assert sorted([U(2), U(0, 1), U(0)]) == [U(0), U(0, 1), U(2)]  # as 1, 3, 4
+        assert json.dumps([s]) == "[3]"
+
+    def test_tuples_equal_their_fields(self):
+        qi = QueueIndex(U(2), U(0, 1))
+        assert qi == (U(2), U(0, 1)) == (4, 3) and hash(qi) == hash((4, 3))
+        nid = NativePacketId(1, 7)
+        assert nid == (1, 7) and hash(nid) == hash((1, 7))
+        assert (nid.owner, nid.sequence) == (1, 7)
+
+    def test_set_operators_return_usersets(self):
+        a, b = U(0, 1), U(1, 2)
+        for got, want in ((a | b, {0, 1, 2}), (a & b, {1}), (a - b, {0})):
+            assert type(got) is UserSet and set(got) == want
+        assert type(a | 4) is UserSet
+        for plain in (a ^ b, ~a, a << 1):
+            assert type(plain) is int
+
+    def test_formatting(self):
+        s = U(0, 2)
+        assert repr(s) == str(s) == f"{s}" == "U{0,2}"
+        assert repr(EMPTY) == "U{}"
+        assert repr(QueueIndex(U(2), U(0, 1))) == "Q[2->0,1]"
+        assert repr(NativePacketId(1, 7)) == "n1.7"
+
+    def test_native_ids_sort_by_owner_then_sequence(self):
+        ids = [NativePacketId(1, 0), NativePacketId(0, 5), NativePacketId(0, 2)]
+        assert sorted(ids) == [(0, 2), (0, 5), (1, 0)]
+        assert max(ids) == NativePacketId(1, 0)
+
+    def test_negative_mask_rejected(self):
+        with pytest.raises(ValueError, match="negative mask"):
+            UserSet(-1)
 
 
 def make_simple_state():
