@@ -102,7 +102,10 @@ class TestPGs:
         with pytest.raises(ConfigError):
             ErasureModel.iid(2, float("nan"))
 
-    @pytest.mark.parametrize("key", [(2,), (0, 20), (-1,), U(0, 2)])
+    # UserSet is an int, which pytest would name by its str(); keep the positional id
+    @pytest.mark.parametrize(
+        "key", [(2,), (0, 20), (-1,), pytest.param(U(0, 2), id="key3")]
+    )
     def test_unknown_users_rejected(self, key):
         with pytest.raises(ConfigError, match="mentions unknown users"):
             ErasureModel.joint(2, {key: 1})
