@@ -1,5 +1,6 @@
 """Digests of the analysis outputs: certificates, verdicts, transition
-tables and the ``regions`` command's files.
+tables, flow polyhedra and their Fourier-Motzkin projections, and the
+``regions`` command's files.
 
 Each output is computed once and hashed: sha256 over a JSON form in which
 every number is its exact string.  ``tests/test_analysis_digests.py``
@@ -21,7 +22,12 @@ from fractions import Fraction as F
 from becsim import cli
 from becsim.channel import ErasureModel, make_rng
 from becsim.coding import FULL, TABLE8, enumerate_controls
-from becsim.regions import build_phi_4user, feasibility_check
+from becsim.regions import (
+    build_flow_polyhedron,
+    build_phi_4user,
+    feasibility_check,
+    fm_eliminate,
+)
 from becsim.scheduler import TransitionTable, derive_transitions
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "analysis_digests.json"
@@ -115,6 +121,43 @@ def _tables():
             yield f"transitions/n{n}-{restriction}/{label}", table.to_json()
 
 
+def _rows(poly) -> list:
+    return [[[[v, str(c)] for v, c in i.coeffs], str(i.rhs)] for i in poly.inequalities]
+
+
+def _highest_first(var_of) -> list:
+    """perfbench's elimination order: the highest catalog index first."""
+    return sorted(var_of.values(), key=lambda v: -int(v[3:]))
+
+
+def _projections():
+    """build_flow_polyhedron for N=2 and N=3 / full under each model; the
+    whole N=2 projection per model and the first 23 N=3 eliminations at
+    iid 1/2, each step's rows at tol=0, with the N=3 peak row count."""
+    for n in (2, 3):
+        catalog = enumerate_controls(n, FULL)
+        for label, model in _models(n):
+            poly, var_of = build_flow_polyhedron(model, catalog)
+            shares = [[repr(spec), var] for spec, var in var_of.items()]
+            yield f"polyhedron/n{n}-full/{label}", [shares, _rows(poly)]
+            if n == 2:
+                steps = [_rows(poly)]
+                for var in _highest_first(var_of):
+                    poly = fm_eliminate(poly, var, tol=0)
+                    steps.append(_rows(poly))
+                yield f"fm/n2-full/{label}", steps
+    catalog = enumerate_controls(3, FULL)
+    poly, var_of = build_flow_polyhedron(ErasureModel.iid(3, F(1, 2)), catalog)
+    steps = []
+    for var in _highest_first(var_of)[:23]:
+        poly = fm_eliminate(poly, var, tol=0)
+        steps.append(_rows(poly))
+    yield "fm/n3-full/iid=1/2/23-steps", {
+        "steps": steps,
+        "peak_rows": max(len(rows) for rows in steps),
+    }
+
+
 def _cli_file(name, argv):
     with tempfile.TemporaryDirectory() as tmp:
         if cli.main([*argv, "--format", "csv", "--out", tmp]) != 0:
@@ -126,6 +169,7 @@ def outputs():
     """(name, object its digest is taken over) per output, in file order."""
     yield from _certificates()
     yield from _tables()
+    yield from _projections()
     for name, argv in [
         ("regions-n4-check-cert.csv", ["regions", "--n", "4", "--check-cert"]),
         ("regions-n3.csv", ["regions", "--n", "3"]),

@@ -2,7 +2,8 @@
 
 The golden file holds one sha256 per output of ``analysis_digests``: the
 4-user certificates of both constructions and their verdicts, transition
-tables under iid, per-user and joint erasures, and the ``regions``
+tables under iid, per-user and joint erasures, the N=2 and N=3 flow
+polyhedra and their Fourier-Motzkin projections, and the ``regions``
 command's CSV files.  A change that alters them on purpose regenerates it
 with ``PYTHONPATH=src python tests/analysis_digests.py``.
 """
