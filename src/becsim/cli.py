@@ -350,6 +350,8 @@ def _cmd_regions(args) -> int:
 
 
 def _cmd_derive_table(args) -> int:
+    if args.format != "json":
+        raise ConfigError("derive-table writes JSON only")
     doc = _document(args)
     n = _integer(doc, "n_users", 2)
     model = _erasure_from_doc(doc, n)

@@ -5,10 +5,15 @@ flow-balance feasibility checking, and Fourier-Motzkin projection.
 Erasure probabilities are exact, as an erasure model holds them; rates may
 be floats or exact rationals, and with Fraction rates every comparison is
 exact; the certificate check reads every input exactly, floats included.
+
+The certificate check and the flow polyhedron read one exact int build of
+the flow balance, ``_flow_balance``; the check reuses its last build while
+its transition tables are equal by value, so a table edited in place misses.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -303,63 +308,51 @@ def build_phi_4user(
 # --- generic flow-balance feasibility ---------------------------------------
 
 
-def _flow_balance(edges_of: Mapping, n_users: int) -> list:
-    """The flow-balance rows in node order, every user's root queue
-    included: (node, the user whose arrivals enter there or None, each
-    control's net inflow there, i.e. inflow from other nodes less outflow).
-    edges_of maps each control to its transition edges."""
-    flows: dict = {}
-    for spec, edges in edges_of.items():
-        for node, targets in edges.items():
-            for target, p in targets.items():
-                if target == node:
-                    continue
-                flows.setdefault(node, {}).setdefault(spec, [0, 0])[1] += p
-                if target != DELIVERED:
-                    flows.setdefault(target, {}).setdefault(spec, [0, 0])[0] += p
-    for i in range(n_users):
-        flows.setdefault((QueueIndex(EMPTY, UserSet.of(i)), i), {})
+def _flow_balance(edges_of: Mapping, n_users: int) -> tuple:
+    """The flow-balance rows in int form: (M, controls in order of first
+    use, per node in node order (node, the user whose arrivals enter there
+    or None, [(control position, net inflow·M)])), every user's root queue
+    included.  Net inflow is inflow from other nodes less outflow; each
+    edge's p is read exactly, a float as Fraction(p), and M is the least
+    common denominator of the edges.  edges_of maps each control to its
+    transition edges."""
+    edges = [
+        (spec, node, target, Fraction(p))
+        for spec, per_node in edges_of.items()
+        for node, targets in per_node.items()
+        for target, p in targets.items()
+        if target != node
+    ]
+    scale, ints = scaled_ints([p for *_, p in edges])
+    net = defaultdict(Counter)
+    for (spec, node, target, _), w in zip(edges, ints):
+        net[node][spec] -= w
+        if target != DELIVERED:
+            net[target][spec] += w
+    roots = {(QueueIndex(EMPTY, UserSet.of(i)), i): i for i in range(n_users)}
+    at: dict = {}
     rows = []
-    for node in sorted(flows, key=lambda n: (n[0].sort_key(), n[1])):
-        qi, i = node
-        root = qi.listeners == EMPTY and qi.destinations == UserSet.of(i)
-        net = {spec: fin - fout for spec, (fin, fout) in flows[node].items()}
-        rows.append((node, i if root else None, net))
-    return rows
+    for node in sorted(net.keys() | roots, key=lambda n: (n[0].sort_key(), n[1])):
+        row = [(at.setdefault(spec, len(at)), w) for spec, w in net[node].items()]
+        rows.append((node, roots.get(node), row))
+    return scale, list(at), rows
 
 
-# (key, rows) of the last build; the key copies the edges in order, so tables
-# edited in place miss, and a repeat compares the same objects, no arithmetic
+# (inputs, rows) of the last build; the inputs copy the tables down to each
+# node's targets and hold the caller's own p, so a hit copies nothing
 _LAST_ROWS: list = [None, None]
 
 
-def _rows_of(edges_of: Mapping, n_users: int) -> list:
-    """_flow_balance(edges_of, n_users), built once for equal inputs in a row."""
-    key = n_users, [
-        (spec, [(node, list(targets.items())) for node, targets in edges.items()])
-        for spec, edges in edges_of.items()
-    ]
-    if _LAST_ROWS[0] != key:
-        _LAST_ROWS[:] = key, _flow_balance(edges_of, n_users)
+def _rows_of(edges_of: Mapping, n_users: int) -> tuple:
+    """_flow_balance(edges_of, n_users), built once for equal inputs in a
+    row: inputs are matched by value, so a table edited in place misses."""
+    if _LAST_ROWS[0] != (n_users, edges_of):
+        snapshot = {
+            spec: {node: dict(targets) for node, targets in edges.items()}
+            for spec, edges in edges_of.items()
+        }
+        _LAST_ROWS[:] = (n_users, snapshot), _flow_balance(edges_of, n_users)
     return _LAST_ROWS[1]
-
-
-# (rows, int rows) of the last conversion; rows are matched by identity
-_LAST_INT_ROWS: list = [None, None]
-
-
-def _int_rows(rows: list) -> tuple:
-    """(M, controls in order of first use, per row (node, root, [(control
-    position, coefficient·M)])), M the rows' least common denominator."""
-    if _LAST_INT_ROWS[0] is not rows:
-        scale, ints = scaled_ints([Fraction(c) for *_, n in rows for c in n.values()])
-        ints, at = iter(ints), {}
-        converted = [
-            (node, root, [(at.setdefault(s, len(at)), next(ints)) for s in net])
-            for node, root, net in rows
-        ]
-        _LAST_INT_ROWS[:] = rows, (scale, list(at), converted)
-    return _LAST_INT_ROWS[1]
 
 
 def feasibility_check(
@@ -372,22 +365,22 @@ def feasibility_check(
     transitions: Optional[dict] = None,
 ) -> dict:
     """Verify arrival + inflow <= outflow at every virtual queue under the
-    certificate's time shares; report the worst slack.  Raises ValueError
-    when transitions lack a control that has a nonzero share.  Shares and
-    rates are read exactly, a float as Fraction(x), so slacks are Fractions
-    for every input type, and at tol=0 a float's rounding can decide."""
+    certificate's time shares; report the worst slack.  transitions maps
+    controls to derive_transitions' edges as plain dicts, compared by value
+    (edits in place are seen); a control with a nonzero share missing from
+    it raises ValueError.  Shares, rates and edges are read exactly, a float
+    as Fraction(x), so slacks are Fractions for every input type, and at
+    tol=0 a float's rounding can decide."""
     _validate_rates(rates, model.n_users)
     unknown = [spec for spec in certificate.phi if spec not in catalog.control_set]
     shares = {spec: share for spec, share in certificate.phi.items() if share}
-    edges_of = {}
+    if transitions is None:
+        transitions = {spec: derive_transitions(spec, model) for spec in shares}
     for spec in shares:
-        if transitions is None:
-            edges_of[spec] = derive_transitions(spec, model)
-        elif spec in transitions:
-            edges_of[spec] = transitions[spec]
-        else:
+        if spec not in transitions:
             raise ValueError(f"transitions lack the certificate's control {spec!r}")
-    scale, specs, rows = _int_rows(_rows_of(edges_of, model.n_users))
+    edges_of = {spec: transitions[spec] for spec in shares}
+    scale, specs, rows = _rows_of(edges_of, model.n_users)
     # each slack times unit·scale is an int, with shares and rates over unit
     values = [Fraction(shares[spec]) for spec in specs] + [Fraction(r) for r in rates]
     unit, ints = scaled_ints(values)
@@ -614,7 +607,8 @@ def fm_eliminate(
 
 
 def build_flow_polyhedron(model: ErasureModel, catalog: ControlCatalog):
-    """Symbolic flow-balance system over per-control time shares and rates.
+    """Symbolic flow-balance system over per-control time shares and rates,
+    from the rows feasibility_check reads, each coefficient Fraction(c, M).
 
     Variables: one share per catalog control (returned mapping), one rate
     per user named lam<i>.  Suitable for projection onto the rates.
@@ -622,8 +616,10 @@ def build_flow_polyhedron(model: ErasureModel, catalog: ControlCatalog):
     var_of = {spec: f"phi{idx}" for idx, spec in enumerate(catalog)}
     ineqs = []
     edges_of = {spec: derive_transitions(spec, model) for spec in catalog}
-    for _, root, net in _flow_balance(edges_of, model.n_users):
-        coeffs = {var_of[spec]: c for spec, c in net.items()}
+    scale, specs, rows = _flow_balance(edges_of, model.n_users)
+    names = [var_of[spec] for spec in specs]
+    for _, root, row in rows:
+        coeffs = {names[k]: Fraction(c, scale) for k, c in row}
         if root is not None:
             coeffs[f"lam{root}"] = 1
         ineqs.append(LinearIneq.of(coeffs, 0))

@@ -184,6 +184,12 @@ class TestDeriveTable:
         assert (tmp_path / "config" / "transitions_n2.json").read_bytes() == flag
         assert flag != (GOLDEN / "transitions_n2_iid_half.json").read_bytes()
 
+    def test_csv_format_is_a_config_error(self, tmp_path, capsys):
+        args = ["derive-table", "--n", "2", "--format", "csv", "--out", str(tmp_path)]
+        assert main(args) == 1
+        assert "config error: derive-table writes JSON only" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class TestRegions:
     def test_check_cert_all_feasible(self, tmp_path, capsys):

@@ -27,7 +27,7 @@ from becsim.regions import (
     outer_bound_argmax,
     outer_bound_margin,
 )
-from becsim.scheduler import derive_transitions
+from becsim.scheduler import DELIVERED, _queue_space, derive_transitions
 
 JOINT2 = ErasureModel.joint(
     2, {(): F(1, 10), (0,): F(1, 5), (1,): F(3, 10), (0, 1): F(2, 5)}
@@ -408,23 +408,30 @@ class TestCertificateMemo:
             assert verdict["feasible"]
         assert len(calls) == 1
 
-    def test_tables_edited_in_place_miss_the_memo(self, monkeypatch):
+    @pytest.mark.parametrize("landing", ["self-loop", "new-key"])
+    def test_tables_edited_in_place_miss_the_memo(self, monkeypatch, landing):
         eps, model = F(1, 2), iid4(F(1, 2))
         cert = build_phi_4user(LAM4, eps)
         transitions = {s: derive_transitions(s, model) for s in cert.phi}
         args = (LAM4, cert, model, self.CATALOG)
         assert feasibility_check(*args, tol=0, transitions=transitions)["feasible"]
-        # user 0's root token now stays put 1/100 more often than it should
         root = ControlSpec.of(((), (0,)))
         node = (QueueIndex(EMPTY, UserSet.of(0)), 0)
         targets = transitions[root][node]
         targets[regions.DELIVERED] -= F(1, 100)
-        targets[node] += F(1, 100)
+        if landing == "self-loop":
+            # user 0's root token now stays put 1/100 more often than it should
+            worst = node
+        else:
+            # ... or lands 1/100 of the time in a queue no control serves
+            worst = (QueueIndex(EMPTY, UserSet.from_iterable((0, 1))), 0)
+            assert worst not in targets
+        targets[worst] = targets.get(worst, 0) + F(1, 100)
         verdict = feasibility_check(*args, tol=0, transitions=transitions)
         assert verdict == self.memo_free(
             monkeypatch, *args, tol=0, transitions=transitions
         )
-        assert not verdict["feasible"] and verdict["worst_node"] == node
+        assert not verdict["feasible"] and verdict["worst_node"] == worst
 
     @pytest.mark.parametrize("floats", [False, True], ids=["fraction", "float"])
     def test_verdicts_equal_memo_free_on_random_rays(self, monkeypatch, floats):
@@ -497,6 +504,66 @@ class TestFlowChecksAgree:
         cert = build_phi_4user(LAM4, F(1, 2))
         catalog = enumerate_controls(4, restriction="table8")
         assert self.agree(LAM4, cert, iid4(F(1, 2)), catalog)
+
+
+@st.composite
+def edge_tables(draw):
+    """n ≤ 3 and {control: {node: {target: p}}}: Fraction and float p,
+    self-loops, deliveries and landings on nodes no table lists."""
+    n = draw(st.integers(1, 3))
+    nodes = [(qi, i) for qi in _queue_space(n)[0] for i in qi.destinations]
+    prob = st.one_of(st.fractions(0, 1, max_denominator=60), st.floats(0, 1))
+    controls = st.lists(
+        st.sampled_from(list(enumerate_controls(n))), unique=True, max_size=3
+    )
+    edges_of = {}
+    for spec in draw(controls):
+        listed = draw(st.lists(st.sampled_from(nodes), unique=True, max_size=4))
+        edges_of[spec] = {}
+        for node in listed:
+            targets = st.sampled_from([*nodes, DELIVERED])
+            edges = draw(st.dictionaries(targets, prob, max_size=4))
+            if draw(st.booleans()):
+                edges[node] = draw(prob)
+            edges_of[spec][node] = edges
+    return n, edges_of
+
+
+class TestFlowBalance:
+    """_flow_balance's int rows are the plain Fraction sums of the edges."""
+
+    @staticmethod
+    def reference(edges_of, n):
+        net = {(QueueIndex(EMPTY, UserSet.of(i)), i): {} for i in range(n)}
+        for spec, per_node in edges_of.items():
+            for node, targets in per_node.items():
+                for target, p in targets.items():
+                    if target == node:
+                        continue
+                    out = net.setdefault(node, {})
+                    out[spec] = out.get(spec, 0) - F(p)
+                    if target != DELIVERED:
+                        into = net.setdefault(target, {})
+                        into[spec] = into.get(spec, 0) + F(p)
+        rows = []
+        for node in sorted(net, key=lambda n: (n[0].sort_key(), n[1])):
+            qi, i = node
+            root = i if qi == QueueIndex(EMPTY, UserSet.of(i)) else None
+            rows.append((node, root, {s: c for s, c in net[node].items() if c}))
+        return rows
+
+    @settings(max_examples=100, deadline=None)
+    @given(edge_tables())
+    def test_int_rows_equal_fraction_sums(self, table):
+        n, edges_of = table
+        scale, controls, rows = regions._flow_balance(edges_of, n)
+        assert len(set(controls)) == len(controls)
+        got = [
+            (node, root, {controls[k]: F(c, scale) for k, c in row if c})
+            for node, root, row in rows
+        ]
+        assert got == self.reference(edges_of, n)
+        assert sorted(root for _, root, _ in rows if root is not None) == list(range(n))
 
 
 class TestExactReading:
