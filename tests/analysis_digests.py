@@ -1,6 +1,6 @@
 """Digests of the analysis outputs: certificates, verdicts, transition
-tables, flow polyhedra and their Fourier-Motzkin projections, and the
-``regions`` command's files.
+tables, outer-bound and capacity-gap argmaxes, flow polyhedra and their
+Fourier-Motzkin projections, and the ``regions`` command's files.
 
 Each output is computed once and hashed: sha256 over a JSON form in which
 every number is its exact string.  ``tests/test_analysis_digests.py``
@@ -25,8 +25,10 @@ from becsim.coding import FULL, TABLE8, enumerate_controls
 from becsim.regions import (
     build_flow_polyhedron,
     build_phi_4user,
+    capacity_gap,
     feasibility_check,
     fm_eliminate,
+    outer_bound_argmax,
 )
 from becsim.scheduler import TransitionTable, derive_transitions
 
@@ -99,7 +101,7 @@ def _certificates():
 
 def _models(n):
     """iid 1/4, per-user ε, and a joint pmf with zero-mass sets."""
-    per_user = [F(1, 10), F(1, 4), F(1, 2), F(3, 4)][:n]
+    per_user = [F(1, 10), F(1, 4), F(1, 2), F(3, 4), F(9, 10)][:n]
     weights = {
         tuple(u for u in range(n) if mask >> u & 1): 0 if mask % 3 == 2 else mask + 1
         for mask in range(1 << n)
@@ -121,6 +123,23 @@ def _tables():
             yield f"transitions/n{n}-{restriction}/{label}", table.to_json()
 
 
+def _argmaxes():
+    """outer_bound_argmax and capacity_gap on seeded rational rays, N=1..5
+    under each model, every value as its exact string."""
+    rng = make_rng("analysis-digests", "argmax")
+    for n in range(1, 6):
+        for label, model in _models(n):
+            outer, gaps = [], []
+            for _ in range(4):
+                rates = [F(rng.randrange(0, 1000), 4000) for _ in range(n)]
+                margin, perm = outer_bound_argmax(rates, model)
+                outer.append([str(margin), list(perm)])
+                for bits in (8, 64):
+                    gap = capacity_gap(rates, model, bits)
+                    gaps.append({k: str(v) for k, v in gap.items()})
+            yield f"argmax/n{n}/{label}", {"outer": outer, "capacity_gap": gaps}
+
+
 def _rows(poly) -> list:
     return [[[[v, str(c)] for v, c in i.coeffs], str(i.rhs)] for i in poly.inequalities]
 
@@ -133,7 +152,9 @@ def _highest_first(var_of) -> list:
 def _projections():
     """build_flow_polyhedron for N=2 and N=3 / full under each model; the
     whole N=2 projection per model and the first 23 N=3 eliminations at
-    iid 1/2, each step's rows at tol=0, with the N=3 peak row count."""
+    iid 1/2, each step's rows at tol=0, with the N=3 peak row count.  The
+    same 23 eliminations at the float tol=0.05, where the dominance pass's
+    earlier-row-wins tie decides which of two near-equal rows survives."""
     for n in (2, 3):
         catalog = enumerate_controls(n, FULL)
         for label, model in _models(n):
@@ -147,7 +168,8 @@ def _projections():
                     steps.append(_rows(poly))
                 yield f"fm/n2-full/{label}", steps
     catalog = enumerate_controls(3, FULL)
-    poly, var_of = build_flow_polyhedron(ErasureModel.iid(3, F(1, 2)), catalog)
+    start, var_of = build_flow_polyhedron(ErasureModel.iid(3, F(1, 2)), catalog)
+    poly = start
     steps = []
     for var in _highest_first(var_of)[:23]:
         poly = fm_eliminate(poly, var, tol=0)
@@ -156,6 +178,12 @@ def _projections():
         "steps": steps,
         "peak_rows": max(len(rows) for rows in steps),
     }
+    poly = start
+    steps = []
+    for var in _highest_first(var_of)[:23]:
+        poly = fm_eliminate(poly, var, tol=0.05)
+        steps.append(_rows(poly))
+    yield "fm/n3-full/iid=1/2/23-steps/tol=0.05", steps
 
 
 def _cli_file(name, argv):
@@ -169,6 +197,7 @@ def outputs():
     """(name, object its digest is taken over) per output, in file order."""
     yield from _certificates()
     yield from _tables()
+    yield from _argmaxes()
     yield from _projections()
     for name, argv in [
         ("regions-n4-check-cert.csv", ["regions", "--n", "4", "--check-cert"]),
