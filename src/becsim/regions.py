@@ -13,6 +13,7 @@ its transition tables are equal by value, so a table edited in place misses.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -417,7 +418,7 @@ def feasibility_check(
 
 
 def _iszero(x, tol) -> bool:
-    return -tol <= x <= tol
+    return x == 0 if tol == 0 else -tol <= x <= tol
 
 
 def _div(a, b):
@@ -494,6 +495,27 @@ class Polyhedron:
 def simplify_inequalities(
     ineqs, *, assume_nonneg: bool = True, tol=1e-9
 ) -> list[LinearIneq]:
+    """Normalise and deduplicate rows, then drop the dominated ones.
+
+    A row without coefficients is dropped when rhs >= -tol and kept as a
+    contradiction otherwise.  With assume_nonneg, a row with rhs >= 0 and no
+    positive coefficient is vacuous and dropped.  Every other row is scaled
+    by a positive factor (``LinearIneq.normalized``: rhs 1 when rhs > 0,
+    else a peak coefficient of magnitude 1) and kept once per key
+    (coefficients, str(rhs)), in first-seen order.
+
+    With assume_nonneg, the unit-rhs rows (rhs > tol) are then compared.
+    Row a dominates row b when a_v >= b_v - tol for every variable v, an
+    absent coefficient reading 0: on nonnegative points a is the tighter
+    constraint.  b is dropped when a dominates it strictly (a_v > b_v + tol
+    somewhere), or when a is the earlier row, so of two rows equal within
+    tol the earlier one stays.  Every other row is kept, in order.
+
+    When tol and every coefficient of the unit-rhs rows are ints or
+    Fractions, those comparisons run on ints over one common denominator.
+    A float coefficient or a float tol keeps float arithmetic, b_v - tol
+    rounded as floats round.
+    """
     kept: list[LinearIneq] = []
     seen = set()
     for ineq in ineqs:
@@ -512,48 +534,68 @@ def simplify_inequalities(
         kept.append(norm)
     if not assume_nonneg:
         return kept
-    # dominance for unit-rhs rows: on nonnegative points a row with larger
-    # coefficients everywhere is the tighter constraint.  Row a can dominate
-    # row b only if a > 0 wherever b - tol > 0 and a < -tol only where b < 0,
-    # so per-variable bitmasks over row indexes pick the rows worth checking.
-    rows = [a.as_dict() for a in kept]
-    unit, positive_at, below_at = 0, {}, {}
-    for idx, (a, av) in enumerate(zip(kept, rows)):
-        if a.rhs > tol:
-            unit |= 1 << idx
-            for v, c in av.items():
-                if c > 0:
-                    positive_at[v] = positive_at.get(v, 0) | 1 << idx
-                if c < -tol:
-                    below_at[v] = below_at.get(v, 0) | 1 << idx
-    # c - tol is c itself for an exact zero tol; a float 0.0 makes c a float
-    shifted = tol != 0 or isinstance(tol, float)
+    units = [idx for idx, a in enumerate(kept) if a.rhs > tol]
+    rows: list = [None] * len(kept)
+    coeffs = [c for idx in units for _, c in kept[idx].coeffs]
+    if isinstance(tol, (int, Fraction)) and all(
+        isinstance(c, (int, Fraction)) for c in coeffs
+    ):
+        _, ints = scaled_ints([*coeffs, tol])
+        tol = ints.pop()
+        read = iter(ints)
+        for idx in units:
+            rows[idx] = {v: next(read) for v, _ in kept[idx].coeffs}
+    else:
+        for idx in units:
+            rows[idx] = kept[idx].as_dict()
+    # Per variable, a ladder holds the sorted coefficient values of the
+    # unit-rhs rows (absent reads 0) and, per value, the mask of the rows at
+    # or above it, so the rows with a_v >= t are masks[bisect_left(values,
+    # t)].  b's candidate dominators are the AND of those masks over b's
+    # support at t = b_v - tol; off it, a_v >= -tol fails only for the rows
+    # in below_at.
+    unit, at, below_at = 0, {}, {}
+    for idx in units:
+        bit = 1 << idx
+        unit |= bit
+        for v, c in rows[idx].items():
+            groups = at.setdefault(v, {})
+            groups[c] = groups.get(c, 0) | bit
+            if c < -tol:
+                below_at[v] = below_at.get(v, 0) | bit
+    ladders = {}
+    for v, groups in at.items():
+        absent = unit
+        for mask in groups.values():
+            absent &= ~mask
+        groups[0] = groups.get(0, 0) | absent
+        values = sorted(groups)
+        masks = [0] * (len(values) + 1)
+        for k in range(len(values) - 1, -1, -1):
+            masks[k] = masks[k + 1] | groups[values[k]]
+        ladders[v] = values, masks
     out: list[LinearIneq] = []
     for idx, b in enumerate(kept):
-        if not unit >> idx & 1:
+        bv = rows[idx]
+        if bv is None:
             out.append(b)
             continue
-        bv = rows[idx]
-        low = {v: c - tol for v, c in bv.items()} if shifted else bv
         candidates = unit & ~(1 << idx)
-        for v, t in low.items():
-            if t > 0:
-                candidates &= positive_at.get(v, 0)
+        for v, c in bv.items():
+            values, masks = ladders[v]
+            candidates &= masks[bisect_left(values, c - tol)]
         for v, mask in below_at.items():
             if not bv.get(v, 0) < 0:
                 candidates &= ~mask
         high = None
         while candidates:
             jdx = (candidates & -candidates).bit_length() - 1
-            candidates &= candidates - 1
-            av = rows[jdx]
-            # off b's support, a >= -tol already holds by the masks
-            if not all(av.get(v, 0) >= t for v, t in low.items()):
-                continue
             if jdx < idx:
                 break
+            candidates &= candidates - 1
+            av = rows[jdx]
             if high is None:
-                high = {v: c + tol for v, c in bv.items()} if shifted else bv
+                high = {v: c + tol for v, c in bv.items()}
             if any(av.get(v, 0) > t for v, t in high.items()) or any(
                 c > tol for v, c in av.items() if v not in bv
             ):
@@ -561,6 +603,14 @@ def simplify_inequalities(
         else:
             out.append(b)
     return out
+
+
+def _scaled_bound(ineq: LinearIneq, var: str, a):
+    """ineq divided by |a|, its coefficient on var, without var: the
+    coefficients, the rhs, and what an absent coefficient reads (0 / |a|)."""
+    a = abs(a)
+    coeffs = {v: _div(c, a) for v, c in ineq.coeffs if v != var}
+    return coeffs, _div(ineq.rhs, a), _div(0, a)
 
 
 def fm_eliminate(
@@ -574,6 +624,9 @@ def fm_eliminate(
     upper bound, keep everything that never mentioned it, and drop the
     redundant rows of the result.
 
+    Each bound row is divided by its coefficient on the variable once per
+    step; a combination is then the sum of a lower and an upper row.
+
     With assume_nonneg the variable's implicit zero lower bound joins the
     combination step, so explicit -x <= 0 rows are never required.
     """
@@ -582,25 +635,18 @@ def fm_eliminate(
         a = ineq.coeff(var)
         if _iszero(a, tol):
             keep.append(ineq)
-        elif a > 0:
-            uppers.append(ineq)
         else:
-            lowers.append(ineq)
+            (uppers if a > 0 else lowers).append(_scaled_bound(ineq, var, a))
     if assume_nonneg:
-        lowers.append(LinearIneq.of({var: -1}, 0))
+        lowers.append(_scaled_bound(LinearIneq.of({var: -1}, 0), var, -1))
     combos = []
-    for lo in lowers:
-        al = -lo.coeff(var)
-        for up in uppers:
-            au = up.coeff(var)
-            names = set(lo.variables) | set(up.variables)
-            names.discard(var)
-            coeffs = {
-                v: _div(lo.coeff(v), al) + _div(up.coeff(v), au) for v in names
-            }
-            combos.append(
-                LinearIneq.of(coeffs, _div(lo.rhs, al) + _div(up.rhs, au), tol=tol)
-            )
+    for lo, lo_rhs, lo_zero in lowers:
+        for up, up_rhs, up_zero in uppers:
+            coeffs = {v: c + up.get(v, up_zero) for v, c in lo.items()}
+            for v, c in up.items():
+                if v not in lo:
+                    coeffs[v] = lo_zero + c
+            combos.append(LinearIneq.of(coeffs, lo_rhs + up_rhs, tol=tol))
     return Polyhedron.of(
         simplify_inequalities(keep + combos, assume_nonneg=assume_nonneg, tol=tol)
     )

@@ -747,6 +747,70 @@ class TestFourierMotzkin:
         assert not poly.contains({"lam0": F(31, 100), "lam1": F(3, 10)}, tol=0)
 
 
+def exists_nonneg_value(rows, var, point):
+    """Is there z >= 0 with every (coefficients, rhs) row holding at point
+    and var = z?  Each row bounds z on one side or not at all."""
+    lo, hi = F(0), None
+    for coeffs, rhs in rows:
+        slack = rhs - sum(coeffs.get(v, 0) * x for v, x in point.items())
+        a = coeffs.get(var, 0)
+        if a == 0:
+            if slack < 0:
+                return False
+        elif a > 0:
+            hi = slack / a if hi is None else min(hi, slack / a)
+        else:
+            lo = max(lo, slack / a)
+    return hi is None or lo <= hi
+
+
+@pytest.mark.slow
+def test_n3_projection_reaches_step_26():
+    """N=3 / full at iid 1/2, eliminating the highest catalog index first:
+    steps 24-26 (phi7, phi6, phi5), where the rows first reach thousands,
+    each equal the previous polyhedron's projection at sampled points."""
+    catalog = enumerate_controls(3)
+    poly, var_of = build_flow_polyhedron(ErasureModel.iid(3, F(1, 2)), catalog)
+    order = sorted(var_of.values(), key=lambda v: -int(v[3:]))[:26]
+    rng = random.Random("n3-reach")
+    for step, var in enumerate(order, start=1):
+        prev, poly = poly, fm_eliminate(poly, var, tol=0)
+        if step < 24:
+            continue
+        before = [(i.as_dict(), i.rhs) for i in prev.inequalities]
+        after = [(i.as_dict(), i.rhs) for i in poly.inequalities]
+        names = [v for v in prev.variables() if v != var]
+
+        def inside(point):
+            return exists_nonneg_value(before, var, point)
+
+        def along(a, b, t):
+            return {v: a.get(v, 0) + t * (b.get(v, 0) - a.get(v, 0)) for v in a | b}
+
+        points = [{}]
+        while len(points) < 24:
+            chosen = rng.sample(names, k=rng.randint(1, 3))
+            points.append({v: F(rng.randrange(1, 41), 40) for v in chosen})
+        ins = [p for p in points if inside(p)]
+        outs = [p for p in points if not inside(p)]
+        assert ins and outs
+        for _ in range(4):
+            # the two points 2^-8 apart that straddle the boundary
+            a, b = rng.choice(ins), rng.choice(outs)
+            lo, hi = F(0), F(1)
+            for _ in range(8):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if inside(along(a, b, mid)) else (lo, mid)
+            points += [along(a, b, lo), along(a, b, hi)]
+        for point in points:
+            holds = all(
+                sum(coeffs.get(v, 0) * x for v, x in point.items()) <= rhs
+                for coeffs, rhs in after
+            )
+            assert holds == inside(point), (step, var, point)
+    assert len(poly.inequalities) > 1000
+
+
 def pairwise_simplify(ineqs, *, assume_nonneg=True, tol=1e-9):
     """Reference for ``simplify_inequalities``: the same normalisation and
     deduplication, then dominance checked over every ordered pair."""
@@ -822,8 +886,35 @@ def random_rows(rng, exact):
     return rows
 
 
+def tied_rows(rng, tol, count=150):
+    """Many rows over five variables drawn from five coefficient values,
+    each sometimes moved by exactly tol, so the ladders hold long runs of
+    equal values and thresholds that land on them."""
+    values = [0, F(1, 2), 1, F(3, 2), 2]
+    rows = []
+    for _ in range(count):
+        coeffs = {}
+        for v in "vwxyz":
+            c = rng.choice(values)
+            if rng.random() < 0.2:
+                c = c + rng.choice([tol, -tol])
+            if c != 0:
+                coeffs[v] = c
+        rows.append(LinearIneq.of(coeffs, 1))
+    return rows
+
+
 class TestSimplifyInequalities:
-    @pytest.mark.parametrize("tol", [0, 1e-9, 0.05])
+    @pytest.mark.parametrize(
+        "tol",
+        [
+            0,
+            1e-9,
+            0.05,
+            pytest.param(F(1, 20), id="1/20"),
+            pytest.param(F(1, 10**10), id="1/10**10"),
+        ],
+    )
     @pytest.mark.parametrize("exact", [True, False])
     def test_matches_pairwise_reference(self, tol, exact):
         rng = random.Random(f"simplify/{tol}/{exact}")
@@ -850,3 +941,12 @@ class TestSimplifyInequalities:
         got = regions.simplify_inequalities(rows, tol=0)
         assert got == pairwise_simplify(rows, tol=0)
         assert got == [LinearIneq.of({}, -1), ineq({"x": F(2)}, F(1))]
+
+    @pytest.mark.parametrize("tol", [0, pytest.param(F(1, 20), id="1/20"), 0.05])
+    def test_many_tied_rows_match_pairwise_reference(self, tol):
+        rng = random.Random(f"tied/{tol}")
+        for _ in range(3):
+            rows = tied_rows(rng, tol)
+            want = pairwise_simplify(rows, tol=tol)
+            assert regions.simplify_inequalities(rows, tol=tol) == want
+            assert 0 < len(want) < len(normalised_rows(rows, True, tol))
