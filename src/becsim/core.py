@@ -227,7 +227,14 @@ class ReceiverBasis:
 
 class NetworkState:
     """The dual real/virtual queue network at the base station, plus the
-    receiver-side knowledge used by audits."""
+    receiver-side knowledge used by audits.
+
+    The mutators (arrival, append_packet, remove_packet, append_token,
+    remove_token, decode) make every change.  Besides the queues and
+    counters they keep running state for the shallow audit: the backlogs
+    Q_hat and V_hat, the packets by pid, the tokens by native, and per
+    queue the users whose virtual queues there changed since the last audit.
+    """
 
     def __init__(self, n_users: int):
         check_n_users(n_users)
@@ -239,6 +246,12 @@ class NetworkState:
         self.decoded = [set() for _ in range(n_users)]  # per user, NativePacketId
         self._next_pid = 0
         self._next_seq = [0] * n_users
+        self.running_q_hat = 0
+        self.running_v_hat = 0
+        self.packets_by_pid: dict = {}  # pid -> [RealPacket], one unless duplicated
+        self.tokens_by_native: dict = {}  # NativePacketId -> [Token]
+        self.touched: dict = {}  # QueueIndex -> mask of users touched there
+        self.audited = False  # until the first audit, every audit walks
 
     # -- construction helpers -------------------------------------------------
 
@@ -267,24 +280,42 @@ class NetworkState:
         return self.real_queues.get(qi, [])
 
     def append_packet(self, packet: RealPacket) -> None:
-        self.real_queues.setdefault(packet.location, []).append(packet)
+        qi = packet.location
+        self.real_queues.setdefault(qi, []).append(packet)
+        self.packets_by_pid.setdefault(packet.pid, []).append(packet)
+        self.running_q_hat += 1
+        self.touched.setdefault(qi, 0)
 
     def remove_packet(self, packet: RealPacket) -> None:
-        q = self.real_queues[packet.location]
+        qi = packet.location
+        q = self.real_queues[qi]
         q.remove(packet)
         if not q:
-            del self.real_queues[packet.location]
+            del self.real_queues[qi]
+        same = self.packets_by_pid[packet.pid]
+        same.remove(packet)
+        if not same:
+            del self.packets_by_pid[packet.pid]
+        self.running_q_hat -= 1
+        self.touched.setdefault(qi, 0)
+
+    def packet(self, pid: int) -> RealPacket:
+        """The stored packet with this pid (the first, if it is duplicated)."""
+        return self.packets_by_pid[pid][0]
 
     def vqueue(self, qi: QueueIndex, user: int) -> list:
         return self.virtual_queues.get((qi, user), [])
 
     def append_token(self, token: Token) -> None:
-        key = (token.location, token.native.owner)
+        qi, user = key = (token.location, token.native.owner)
         self.virtual_queues.setdefault(key, []).append(token)
         self.counters[key] = self.counters.get(key, 0) + 1
+        self.tokens_by_native.setdefault(token.native, []).append(token)
+        self.running_v_hat += 1
+        self.touched[qi] = self.touched.get(qi, 0) | 1 << user
 
     def remove_token(self, token: Token) -> None:
-        key = (token.location, token.native.owner)
+        qi, user = key = (token.location, token.native.owner)
         q = self.virtual_queues[key]
         q.remove(token)
         if not q:
@@ -294,6 +325,20 @@ class NetworkState:
             self.counters[key] = n
         else:
             del self.counters[key]
+        same = self.tokens_by_native[token.native]
+        same.remove(token)
+        if not same:
+            del self.tokens_by_native[token.native]
+        self.running_v_hat -= 1
+        self.touched[qi] = self.touched.get(qi, 0) | 1 << user
+
+    def decode(self, user: int, native: NativePacketId) -> None:
+        """Record that user decoded native; a token still pending for it
+        marks its virtual queue touched."""
+        self.decoded[user].add(native)
+        for token in self.tokens_by_native.get(native, ()):
+            qi = token.location
+            self.touched[qi] = self.touched.get(qi, 0) | 1 << token.native.owner
 
     def find_token(self, qi: QueueIndex, user: int, packet_id: int) -> Token:
         for t in self.virtual_queues.get((qi, user), ()):
@@ -319,16 +364,98 @@ def audit_state(state: NetworkState, deep: bool = False) -> list:
     Shallow: queue-index validity, counter/virtual-queue agreement, per-queue
     counter equality (every i in D sees K = |Q|), token/packet linkage, token
     uniqueness per undecoded native, and the backlog sandwich
-    V_hat/N <= Q_hat <= V_hat.
-    Deep additionally checks receiver knowledge: every listener can reconstruct
-    the packet and every destination's residual is exactly its pending native.
+    V_hat/N <= Q_hat <= V_hat.  The per-queue checks cover the queues the
+    mutators touched since the last audit, and those that failed it, each
+    with its destinations' virtual queues; the global ones read the running
+    backlogs and pid and native indices.  A write that bypasses the
+    mutators (to state.counters or a queue list) can go unseen until the
+    next deep audit.
+    Deep, and the first audit of a state, runs the same checks over every
+    queue, token and counter, after checking the running backlogs and
+    indices against that walk.  Deep additionally checks receiver knowledge:
+    every listener can reconstruct the packet and every destination's
+    residual is exactly its pending native.
     """
-    out = []
+    running = (state.running_q_hat, state.running_v_hat)
+    if deep or not state.audited:
+        out, keys, pids, natives = _walk(state)
+        q_hat, v_hat = state.q_hat(), state.v_hat()
+        tokens = sum(map(len, state.virtual_queues.values()))
+        if running != (q_hat, v_hat):
+            out.append(
+                f"running backlog Q={running[0]}, V={running[1]} differs from "
+                f"the walk's Q={q_hat}, V={v_hat}"
+            )
+    else:
+        out = []
+        keys = state.touched
+        pids, natives = state.packets_by_pid, state.tokens_by_native
+        q_hat, v_hat = running
+        tokens = v_hat  # the mutators count every token in V_hat
+    bad = {}
+    for qi, users in keys.items():
+        before = len(out)
+        _audit_queue(state, qi, users, pids, out)
+        if len(out) != before:
+            bad[qi] = users
+    state.touched = bad  # a failed queue stays in the next shallow audit
+    state.audited = True
+    if len(pids) != q_hat:
+        out.extend(f"duplicate packet id {k}" for k, ps in pids.items() if len(ps) > 1)
+    if len(natives) != tokens:
+        out.extend(f"duplicate token for {k!r}" for k, ts in natives.items() if len(ts) > 1)
     n = state.n_users
+    if not (v_hat <= n * q_hat and q_hat <= v_hat):
+        out.append(f"backlog sandwich violated: Q={q_hat}, V={v_hat}, N={n}")
+    if deep:
+        _audit_knowledge(state, out)
+    return out
 
-    packets_by_pid = {}
+
+def _walk(state: NetworkState) -> tuple:
+    """The problems of running indices that differ from the queues, every
+    queue key with the mask of users keyed there, and the pid and native
+    indices: the running ones when they hold what the queues hold."""
+    keys: dict = {}  # QueueIndex -> mask of users with a virtual queue or counter
+    pids: dict = {}
+    natives: dict = {}
     for qi, packets in state.real_queues.items():
-        if not validate_cc(qi, n):
+        keys.setdefault(qi, 0)
+        for p in packets:
+            pids.setdefault(p.pid, []).append(p)
+    for (qi, user), tokens in state.virtual_queues.items():
+        keys[qi] = keys.get(qi, 0) | 1 << user
+        for t in tokens:
+            natives.setdefault(t.native, []).append(t)
+    for qi, user in state.counters:
+        keys[qi] = keys.get(qi, 0) | 1 << user
+    out = []
+    if _same_members(pids, state.packets_by_pid):
+        pids = state.packets_by_pid
+    else:
+        out.append("running pid index differs from the real queues")
+    if _same_members(natives, state.tokens_by_native):
+        natives = state.tokens_by_native
+    else:
+        out.append("running native index differs from the virtual queues")
+    return out, keys, pids, natives
+
+
+def _same_members(walked: dict, running: dict) -> bool:
+    """Whether two indices list the same objects under the same keys."""
+    return walked.keys() == running.keys() and all(
+        sorted(map(id, objs)) == sorted(map(id, running[key]))
+        for key, objs in walked.items()
+    )
+
+
+def _audit_queue(state, qi, users, pids, out) -> None:
+    """The per-queue checks of real queue qi and of the virtual queues
+    (qi, u), u a destination of qi or in the mask users.  pids maps every
+    stored pid to its packets; out collects the problems."""
+    packets = state.real_queues.get(qi)
+    if packets is not None:
+        if not validate_cc(qi, state.n_users):
             out.append(f"invalid queue index {qi!r}")
         if not packets:
             out.append(f"empty queue materialized: {qi!r}")
@@ -337,89 +464,80 @@ def audit_state(state: NetworkState, deep: bool = False) -> list:
                 out.append(f"packet {p.pid} location mismatch in {qi!r}")
             if not p.constituents:
                 out.append(f"packet {p.pid} has no constituents")
-            if p.pid in packets_by_pid:
-                out.append(f"duplicate packet id {p.pid}")
-            packets_by_pid[p.pid] = p
-
-    seen_natives = {}
-    for (qi, user), tokens in state.virtual_queues.items():
-        if user not in qi.destinations:
-            out.append(f"token queue ({qi!r},{user}) outside destination set")
-        if not tokens:
-            out.append(f"empty virtual queue materialized: ({qi!r},{user})")
-        if state.counters.get((qi, user)) != len(tokens):
-            out.append(
-                f"counter-mismatch ({qi!r},{user}): "
-                f"K={state.counters.get((qi, user))} vs {len(tokens)} tokens"
-            )
-        for t in tokens:
-            if t.location != qi or t.native.owner != user:
-                out.append(f"token {t.native!r} misfiled at ({qi!r},{user})")
-            if t.native in seen_natives:
-                out.append(f"duplicate token for {t.native!r}")
-            seen_natives[t.native] = t
-            holder = packets_by_pid.get(t.packet_id)
-            if holder is None:
-                out.append(f"token {t.native!r} references missing packet {t.packet_id}")
-            else:
-                if holder.location != qi:
-                    out.append(f"token {t.native!r} not co-located with its packet")
-                if t.native not in holder.constituents:
-                    out.append(f"token {t.native!r} not in packet {t.packet_id} constituents")
-            if t.native in state.decoded[user]:
-                out.append(f"token exists for decoded native {t.native!r}")
-
-    for key in state.counters:
-        if key not in state.virtual_queues:
-            out.append(f"counter without virtual queue: {key!r}")
-
-    # Every nonempty Q^L_D has K^L_D(i) = |Q^L_D| for all i in D, via the
-    # token/packet bijection per queue.
-    for qi, packets in state.real_queues.items():
-        pids = sorted(p.pid for p in packets)
-        for i in qi.destinations:
-            tok_pids = sorted(t.packet_id for t in state.vqueue(qi, i))
-            if tok_pids != pids:
+        queue_pids = [p.pid for p in packets]
+    destinations = qi.destinations
+    for user in _members(users | destinations):
+        key = (qi, user)
+        tokens = state.virtual_queues.get(key)
+        if tokens is not None:
+            if user not in destinations:
+                out.append(f"token queue ({qi!r},{user}) outside destination set")
+            if not tokens:
+                out.append(f"empty virtual queue materialized: ({qi!r},{user})")
+            if state.counters.get(key) != len(tokens):
                 out.append(
-                    f"queue/token misalignment at ({qi!r},{i}): "
-                    f"packets {pids} vs tokens {tok_pids}"
+                    f"counter-mismatch ({qi!r},{user}): "
+                    f"K={state.counters.get(key)} vs {len(tokens)} tokens"
                 )
-    for (qi, user) in state.virtual_queues:
-        if qi not in state.real_queues:
-            out.append(f"tokens at ({qi!r},{user}) with no real queue")
+            if packets is None:
+                out.append(f"tokens at ({qi!r},{user}) with no real queue")
+            decoded = state.decoded[user]
+            for t in tokens:
+                native = t.native
+                if t.location != qi or native.owner != user:
+                    out.append(f"token {native!r} misfiled at ({qi!r},{user})")
+                holders = pids.get(t.packet_id)
+                if holders is None:
+                    out.append(f"token {native!r} references missing packet {t.packet_id}")
+                else:
+                    holder = holders[0]
+                    if holder.location != qi:
+                        out.append(f"token {native!r} not co-located with its packet")
+                    if native not in holder.constituents:
+                        out.append(f"token {native!r} not in packet {t.packet_id} constituents")
+                if native in decoded:
+                    out.append(f"token exists for decoded native {native!r}")
+        elif key in state.counters:
+            out.append(f"counter without virtual queue: {key!r}")
+        # Every nonempty Q^L_D has K^L_D(i) = |Q^L_D| for all i in D, via
+        # the token/packet bijection per queue.
+        if packets is not None and user in destinations:
+            tok_pids = [t.packet_id for t in tokens or ()]
+            if tok_pids != queue_pids and sorted(tok_pids) != sorted(queue_pids):
+                out.append(
+                    f"queue/token misalignment at ({qi!r},{user}): "
+                    f"packets {sorted(queue_pids)} vs tokens {sorted(tok_pids)}"
+                )
 
-    q_hat = state.q_hat()
-    v_hat = state.v_hat()
-    if not (v_hat <= n * q_hat and q_hat <= v_hat):
-        out.append(f"backlog sandwich violated: Q={q_hat}, V={v_hat}, N={n}")
 
-    if deep:
-        for qi, packets in state.real_queues.items():
-            for p in packets:
-                for j in qi.listeners:
-                    if not state.bases[j].knows(p.constituents):
-                        out.append(f"listener {j} cannot reconstruct packet {p.pid} in {qi!r}")
-                for i in qi.destinations:
-                    residual = state.bases[i].reduce(p.constituents)
-                    try:
-                        tok = state.find_token(qi, i, p.pid)
-                    except KeyError:
-                        continue  # already reported above
-                    if residual != frozenset([tok.native]):
-                        out.append(
-                            f"destination {i} residual for packet {p.pid} is "
-                            f"{sorted(residual)} not [{tok.native!r}]"
-                        )
-                # constituents without tokens must already be decoded
-                pending = {
-                    state.find_token(qi, i, p.pid).native
-                    for i in qi.destinations
-                    if any(t.packet_id == p.pid for t in state.vqueue(qi, i))
-                }
-                for nid in p.constituents - pending:
-                    if nid not in state.decoded[nid.owner]:
-                        out.append(
-                            f"constituent {nid!r} of packet {p.pid} is neither "
-                            "pending nor decoded"
-                        )
-    return out
+def _audit_knowledge(state, out) -> None:
+    """The deep checks: what the listeners and destinations can decode."""
+    for qi, packets in state.real_queues.items():
+        # per destination, the first token of each packet
+        token_of = {
+            i: {t.packet_id: t for t in reversed(state.vqueue(qi, i))}
+            for i in qi.destinations
+        }
+        for p in packets:
+            for j in qi.listeners:
+                if not state.bases[j].knows(p.constituents):
+                    out.append(f"listener {j} cannot reconstruct packet {p.pid} in {qi!r}")
+            pending = set()
+            for i in qi.destinations:
+                tok = token_of[i].get(p.pid)
+                if tok is None:
+                    continue  # already reported by the shallow checks
+                pending.add(tok.native)
+                residual = state.bases[i].reduce(p.constituents)
+                if residual != frozenset([tok.native]):
+                    out.append(
+                        f"destination {i} residual for packet {p.pid} is "
+                        f"{sorted(residual)} not [{tok.native!r}]"
+                    )
+            # constituents without tokens must already be decoded
+            for nid in p.constituents - pending:
+                if nid not in state.decoded[nid.owner]:
+                    out.append(
+                        f"constituent {nid!r} of packet {p.pid} is neither "
+                        "pending nor decoded"
+                    )

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 from typing import NamedTuple, Optional, Sequence
 
 from .core import (
@@ -79,6 +80,7 @@ class MovementPlan:
     retransmit: bool = False
 
 
+@cache  # a control that fails is not cached, so it raises on every call
 def check_control(spec: ControlSpec, n_users: int) -> None:
     """Raise ValueError unless every pair of spec passes the compatibility
     criteria for n_users users and the pairs are combinable."""
@@ -105,12 +107,26 @@ def _resolve_chosen(state, pairs, chosen):
     return picked
 
 
+_PLANS: dict = {}  # control -> {reception set: MovePlan}
+
+
 def plan_moves(spec: ControlSpec, s: UserSet) -> MovePlan:
     """Decide where each head of the control goes for reception set s.
 
     Queue dynamics depend on (control, reception set) alone, so this is set
-    arithmetic on the listener and destination sets; no state is read.
+    arithmetic on the listener and destination sets; no state is read.  Each
+    pair is planned once per process; the plan is immutable.
     """
+    plans = _PLANS.get(spec)
+    if plans is None:
+        plans = _PLANS[spec] = {}
+    plan = plans.get(s)
+    if plan is None:
+        plan = plans[s] = _plan(spec, UserSet(s))
+    return plan
+
+
+def _plan(spec, s) -> MovePlan:
     pairs = spec.sorted_pairs
     # each destination that received cancels the foreign constituents and
     # keeps its own pending native
@@ -198,7 +214,7 @@ def apply_rpm(
     for qi, i in moves.decoded:
         tok = state.find_token(qi, i, picked[qi].pid)
         state.remove_token(tok)
-        state.decoded[i].add(tok.native)
+        state.decode(i, tok.native)
         state.bases[i].insert(frozenset([tok.native]))
         plan.decoded.append((i, tok.native))
         plan.token_moves.append((tok.native, (qi, i), None))

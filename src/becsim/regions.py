@@ -356,6 +356,24 @@ def _rows_of(edges_of: Mapping, n_users: int) -> tuple:
     return _LAST_ROWS[1]
 
 
+# ((users, pmf), {control: derive_transitions' table}) of the last model
+# feasibility_check derived tables for; no caller sees these tables
+_LAST_DERIVED: list = [None, None]
+
+
+def _derived(model: ErasureModel, specs) -> dict:
+    """derive_transitions of each control under model, derived once per
+    control while the model's pmf stays the same from call to call."""
+    pmf = (model.n_users, tuple(model.pmf()))
+    if _LAST_DERIVED[0] != pmf:
+        _LAST_DERIVED[:] = pmf, {}
+    tables = _LAST_DERIVED[1]
+    for spec in specs:
+        if spec not in tables:
+            tables[spec] = derive_transitions(spec, model)
+    return tables
+
+
 def feasibility_check(
     rates: RateVector,
     certificate: FlowCertificate,
@@ -369,14 +387,16 @@ def feasibility_check(
     certificate's time shares; report the worst slack.  transitions maps
     controls to derive_transitions' edges as plain dicts, compared by value
     (edits in place are seen); a control with a nonzero share missing from
-    it raises ValueError.  Shares, rates and edges are read exactly, a float
-    as Fraction(x), so slacks are Fractions for every input type, and at
-    tol=0 a float's rounding can decide."""
+    it raises ValueError.  Without transitions, each control's table is
+    derived once while the model's pmf stays the same from call to call.
+    Shares, rates and edges are read exactly, a float as Fraction(x), so
+    slacks are Fractions for every input type, and at tol=0 a float's
+    rounding can decide."""
     _validate_rates(rates, model.n_users)
     unknown = [spec for spec in certificate.phi if spec not in catalog.control_set]
     shares = {spec: share for spec, share in certificate.phi.items() if share}
     if transitions is None:
-        transitions = {spec: derive_transitions(spec, model) for spec in shares}
+        transitions = _derived(model, shares)
     for spec in shares:
         if spec not in transitions:
             raise ValueError(f"transitions lack the certificate's control {spec!r}")

@@ -3,8 +3,9 @@
 ``deltas_of`` plans the moves of one control under every reception set
 with ``plan_moves``, set arithmetic with no packet state, and maps the
 routes to queue ids: one route (source, target or None) per popped head.
-A per-process memo keeps each control's table, so the simulator's compile
-and every transition table read one plan per (control, reception set).
+``plan_moves`` keeps every plan it makes and a per-process memo keeps each
+control's table, so the simulator's compile, ``apply_rpm`` and every
+transition table read one plan per (control, reception set).
 
 ``fold_landings`` is the landing rule.  The pending token of destination i
 in a head routed to queue q lands at (q, i) when i is one of q's

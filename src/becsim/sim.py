@@ -336,8 +336,7 @@ class _ObjectQueues:
         if config.overhead_monitor:
             for pid, _frm, to in plan.real_moves:
                 if to is not None:
-                    packet = next(p for p in state.queue(to) if p.pid == pid)
-                    stored.append((to.level, len(packet.constituents)))
+                    stored.append((to.level, len(state.packet(pid).constituents)))
         return plan.case.value, [user for user, _ in plan.decoded], stored
 
     def arrive(self, user: int, count: int) -> None:
@@ -363,7 +362,7 @@ class _ObjectQueues:
             )
 
     def totals(self):
-        return self.state.q_hat(), self.state.v_hat()
+        return self.state.running_q_hat, self.state.running_v_hat
 
 
 class _CountQueues:

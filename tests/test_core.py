@@ -242,3 +242,47 @@ class TestAuditState:
         s, _ = make_simple_state()
         q, v = s.q_hat(), s.v_hat()
         assert q <= v <= s.n_users * q
+
+
+class TestRunningState:
+    """The mutators keep running backlogs and pid and native indices for the
+    shallow audit; a deep audit checks them against a walk of the queues."""
+
+    def test_mutators_keep_running_state(self):
+        s, p = make_simple_state()
+        for u in (0, 1, 1, 2):
+            s.arrival(u)
+        head = s.queue(QueueIndex(EMPTY, U(1)))[0]
+        s.remove_token(s.vqueue(head.location, 1)[0])
+        s.remove_packet(head)
+        assert (s.running_q_hat, s.running_v_hat) == (s.q_hat(), s.v_hat()) == (4, 5)
+        assert s.packet(p.pid) is p and head.pid not in s.packets_by_pid
+        assert sorted(s.tokens_by_native) == sorted(
+            t.native for tokens in s.virtual_queues.values() for t in tokens
+        )
+        assert audit_state(s, deep=True) == []
+
+    def test_decode_touches_a_pending_token(self):
+        s, p = make_simple_state()
+        assert audit_state(s) == []
+        tok = s.vqueue(p.location, 0)[0]
+        s.decode(0, tok.native)
+        assert any("decoded native" in v for v in audit_state(s))
+
+    def test_direct_counter_write_caught_by_deep_audit(self):
+        s, p = make_simple_state()
+        assert audit_state(s) == []
+        s.counters[(p.location, 0)] += 1
+        problems = audit_state(s, deep=True)
+        assert any("counter-mismatch" in v for v in problems)
+        assert "running backlog Q=1, V=2 differs from the walk's Q=1, V=3" in problems
+
+    def test_direct_queue_write_caught_by_deep_audit(self):
+        s, p = make_simple_state()
+        assert audit_state(s) == []
+        stray = RealPacket(s.fresh_pid(), p.constituents, p.location)
+        s.real_queues[p.location].append(stray)
+        assert audit_state(s) == []  # no mutator touched the queue
+        problems = audit_state(s, deep=True)
+        assert "running pid index differs from the real queues" in problems
+        assert any("misalignment" in v for v in problems)

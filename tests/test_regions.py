@@ -452,6 +452,30 @@ class TestCertificateMemo:
                     )
                     assert verdict["feasible"]
 
+    def test_tables_derived_once_per_model(self, monkeypatch):
+        calls = []
+
+        def counted(spec, model):
+            calls.append(spec)
+            return derive_transitions(spec, model)
+
+        monkeypatch.setattr(regions, "derive_transitions", counted)
+        monkeypatch.setattr(regions, "_LAST_DERIVED", [None, None])
+        cert = build_phi_4user(LAM4, F(3, 10))
+        shares = {spec for spec, share in cert.phi.items() if share}
+        # the second check reads an equal model built afresh
+        first = feasibility_check(LAM4, cert, iid4(F(3, 10)), self.CATALOG, tol=0)
+        second = feasibility_check(LAM4, cert, iid4(F(3, 10)), self.CATALOG, tol=0)
+        assert first == second and first["feasible"]
+        assert len(calls) == len(set(calls)) and set(calls) == shares
+        # another pmf derives every table again
+        other = feasibility_check(LAM4, cert, iid4(F(1, 2)), self.CATALOG, tol=0)
+        assert len(calls) == 2 * len(shares)
+        model = iid4(F(1, 2))
+        transitions = {spec: derive_transitions(spec, model) for spec in shares}
+        args = (LAM4, cert, model, self.CATALOG)
+        assert other == feasibility_check(*args, tol=0, transitions=transitions)
+
     def test_missing_control_named(self):
         model = iid4(F(1, 2))
         cert = build_phi_4user(LAM4, F(1, 2))

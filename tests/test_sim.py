@@ -17,7 +17,14 @@ from hypothesis import strategies as st
 
 from becsim.channel import ArrivalModel, ErasureModel
 from becsim.coding import enumerate_controls
-from becsim.core import ConfigError, MonitorViolation, QueueIndex, UserSet
+from becsim.core import (
+    ConfigError,
+    MonitorViolation,
+    QueueIndex,
+    RealPacket,
+    Token,
+    UserSet,
+)
 from becsim.scheduler import DELIVERED, TransitionTable, _queue_space
 from becsim.sim import (
     SimConfig,
@@ -795,6 +802,102 @@ class TestMonitorWiring:
             run(make_config(**config))
         assert err.value.slot == busy
         self.assert_context(err, free, "moved")
+
+
+FAULTS = (
+    "duplicate token",
+    "removed token",
+    "duplicate pid",
+    "token for decoded native",
+    "packet location changed",
+    "removed packet",
+)
+
+
+def plant(state, fault, pick):
+    """Plant one fault through the mutators, at a token pick chooses."""
+    tokens = [t for queue in state.virtual_queues.values() for t in queue]
+    tok = tokens[pick(len(tokens))]
+    queues = _queue_space(state.n_users)[0]
+    packet = state.packet(tok.packet_id)
+    if fault == "duplicate token":
+        state.append_token(Token(tok.native, tok.packet_id, tok.location))
+    elif fault == "removed token":
+        state.remove_token(tok)
+    elif fault == "duplicate pid":
+        where = queues[pick(len(queues))]
+        state.append_packet(RealPacket(packet.pid, packet.constituents, where))
+    elif fault == "token for decoded native":
+        state.decode(tok.native.owner, tok.native)
+    elif fault == "removed packet":
+        state.remove_packet(packet)  # its tokens stay behind
+    else:
+        # the packet stays in its queue's list with another location
+        others = [qi for qi in queues if qi != packet.location]
+        state.remove_packet(packet)
+        state.append_packet(packet)
+        packet.location = others[pick(len(others))]
+
+
+class TestIncrementalAudit:
+    """A shallow audit checks only the queues the mutators touched; it must
+    report what a walk of the whole state reports, at every slot of a clean
+    run and at the slot a fault is planted."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        catalog=st.sampled_from([(2, "full"), (3, "full"), (4, "full"), (4, "table8")]),
+        eps=st.sampled_from([F(1, 4), F(1, 2)]),
+        load=st.sampled_from([F(1, 2), F(9, 10)]),
+        fault=st.sampled_from((None,) + FAULTS),
+        at=st.integers(0, 79),
+        seed=st.integers(0, 1 << 16),
+        data=st.data(),
+    )
+    def test_shallow_audit_matches_full_walk(
+        self, catalog, eps, load, fault, at, seed, data
+    ):
+        import becsim.sim as sim_mod
+
+        n, restriction = catalog
+        audit_state = sim_mod.audit_state
+        reports = []
+        planted = []  # the slot of the fault
+
+        def pick(size):
+            return data.draw(st.integers(0, size - 1))
+
+        def compared(state, deep=False):
+            slot = len(reports)
+            if fault and not planted and slot >= at and state.running_v_hat:
+                plant(state, fault, pick)
+                planted.append(slot)
+            shallow = audit_state(state, deep)
+            state.audited = False  # the next audit walks every queue
+            full = audit_state(state)
+            assert set(shallow) == set(full), (slot, fault)
+            # a clean slot reads [] from both, a planted fault is seen at once
+            assert bool(shallow) == bool(planted), (slot, fault, shallow)
+            reports.append(shallow)
+            return shallow
+
+        config = make_config(
+            n=n,
+            horizon=80,
+            eps=eps,
+            rates=[load / n] * n,
+            restriction=restriction,
+            seed=seed,
+            deep_audit_every=0,
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim_mod, "audit_state", compared)
+            try:
+                run(config)
+            except MonitorViolation as err:
+                assert planted == [err.slot]
+            else:
+                assert not planted and len(reports) == 80
 
 
 class TestStabilityProbe:
